@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench bench-gate bench-res suite ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke
+.PHONY: build test vet fmt race check bench bench-gate bench-res suite golden ci trace telemetry fuzz fuzz-smoke cover profile svc-smoke
 
 build:
 	$(GO) build ./...
@@ -85,20 +85,34 @@ bench-res: telemetry
 suite:
 	$(GO) run ./cmd/nadino-bench -quick -parallel 0
 
+# golden is the behaviour fence: it regenerates everything — paper
+# artifacts, ablations and the res-* suite — at quick fidelity across all
+# cores and diffs the output, minus the wall-clock "[... completed in ...]"
+# lines, against the committed golden file. Regenerate the golden (copy
+# golden.txt over it) only for a deliberate, documented behaviour change.
+GOLDEN := cmd/nadino-bench/testdata/quick-suite.golden
+golden:
+	$(GO) run ./cmd/nadino-bench -quick -parallel 0 -run everything > golden.out
+	@grep -v -E '^ *\[.* completed in .*\]$$' golden.out > golden.txt
+	@diff -u $(GOLDEN) golden.txt
+	@rm -f golden.out golden.txt
+	@echo "golden: quick-suite output matches $(GOLDEN)"
+
 # ci is the one-command gate: gofmt, build, vet, race-test the whole module
 # with -short (skips the ~15-min whole-suite parallel-determinism sweep; the
 # res-* determinism fence still runs — the full-suite `race` target stays
 # the deep pre-commit gate), enforce per-package coverage floors, regenerate
 # everything — paper artifacts, ablations and the chaos res-* suite — at
-# quick fidelity across all cores, then smoke-check the telemetry export
-# pipeline and the simulation fuzzer, and finally gate the event-core hot
-# paths against the archived benchmark numbers.
+# quick fidelity across all cores and diff it against the golden output,
+# then smoke-check the telemetry export pipeline and the simulation fuzzer,
+# and finally gate the event-core hot paths against the archived benchmark
+# numbers.
 ci: fmt
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race -short -timeout 20m ./...
 	$(MAKE) cover
-	$(GO) run ./cmd/nadino-bench -quick -parallel 0 -run everything
+	$(MAKE) golden
 	$(MAKE) telemetry
 	$(MAKE) fuzz-smoke
 	$(MAKE) svc-smoke

@@ -9,7 +9,7 @@ import (
 
 // Scale-sweep: the million-client event-core stress. Unlike the paper
 // figures this experiment measures the simulator itself — how the
-// timing-wheel engine and pooled process layer hold up when one virtual
+// event heap and pooled process layer hold up when one virtual
 // cluster carries 10^6 concurrent clients across 100+ nodes.
 //
 // Clients are proc-free: a million goroutine-backed processes would need

@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine owns a virtual clock and a two-tier timer queue. Model code
+// The engine owns a virtual clock and a single timer queue. Model code
 // runs either as plain event callbacks or as coroutine-style processes
 // (Proc) that can block on virtual time and on synchronization primitives.
 // Exactly one goroutine executes at any instant — the engine hands control
@@ -10,14 +10,12 @@
 // The hot path is allocation-free at steady state: fired and canceled
 // events return to a per-engine free list, process state (including the
 // goroutine) is pooled behind generation-fenced handles, and the timer
-// queue is a hierarchical timing wheel (wheel.go) in front of a
-// hand-inlined indexed 4-ary min-heap. The wheel indexes the dense
-// near-future band so a million outstanding timers cost O(1) to insert and
-// cancel; the heap holds due and far-overflow timers and is the exact-order
-// firing stage, so events always fire in (time, sequence) order. Engines
-// are single-threaded but independent — separate Engine instances may run
-// concurrently on different goroutines, which is how the experiment runner
-// shards sweep points across cores.
+// queue is a hand-inlined indexed 4-ary min-heap keyed on (time, sequence),
+// so events always fire in exactly that order: O(log n) insert and cancel,
+// O(1) peek at the next deadline. Engines are single-threaded but
+// independent — separate Engine instances may run concurrently on different
+// goroutines, which is how the experiment runner shards sweep points across
+// cores.
 package sim
 
 import (
@@ -27,17 +25,15 @@ import (
 	"time"
 )
 
-// Event node location sentinels for event.index (>= 0 means a heap slot).
-const (
-	idleIdx  = -1 // not queued: free, fired, or a disarmed owned timer
-	wheelIdx = -2 // bucketed in the timing wheel
-)
+// idleIdx marks an event node that is not queued (free, fired, or a
+// disarmed owned timer); event.index >= 0 is its heap slot.
+const idleIdx = -1
 
 // event is a pooled timer-queue node. Model code never holds one directly:
 // At/After return a generation-checked Event handle, so a handle kept past
 // the callback's firing (or cancellation) can never reach into a recycled
-// node. A node is in exactly one place at a time: the heap (index >= 0),
-// a wheel bucket (index == wheelIdx), or idle (index == idleIdx).
+// node. A node is either in the heap (index >= 0) or idle (index ==
+// idleIdx); its ordering key lives in the heap entry, not here.
 type event struct {
 	eng *Engine
 	fn  func()
@@ -48,16 +44,6 @@ type event struct {
 	proc    *Proc
 	procGen uint64
 
-	// at/seq mirror the heap ordering key so wheel-bucketed nodes carry
-	// their key with them into the heap at drain time.
-	at  time.Duration
-	seq uint64
-
-	// next/prev link the node into its wheel bucket (intrusive, O(1)
-	// cancel); lvl/slot locate the bucket head for unlinking.
-	next, prev *event
-	lvl, slot  int16
-
 	// batch > 0 marks a batched wake event: firing pops that many entries
 	// from the engine's wake queue and dispatches them in FIFO order.
 	batch int32
@@ -66,7 +52,7 @@ type event struct {
 	// place on fire/cancel (gen bump only) and never returns to the pool.
 	owned bool
 
-	index int // heap position, or idleIdx / wheelIdx
+	index int // heap position, or idleIdx
 	gen   uint64
 }
 
@@ -77,32 +63,23 @@ type Event struct {
 	gen uint64
 }
 
-// Cancel removes the event from the timer queue immediately — O(log n) out
-// of the heap, O(1) out of a wheel bucket — releasing its callback closure
-// and returning the node to the engine's pool (owned timer slots are
-// disarmed in place instead). Canceling an already-fired, already-canceled
-// or zero handle is a no-op: every disarm bumps the node's generation, so
-// a stale handle can never touch the slot's next occupant even when the
-// cancel lands at the exact virtual time the event fires.
+// Cancel removes the event from the timer heap immediately, in O(log n),
+// releasing its callback closure and returning the node to the engine's
+// pool (owned timer slots are disarmed in place instead). Canceling an
+// already-fired, already-canceled or zero handle is a no-op: every disarm
+// bumps the node's generation, so a stale handle can never touch the slot's
+// next occupant even when the cancel lands at the exact virtual time the
+// event fires.
 func (h Event) Cancel() {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen {
+	if ev == nil || ev.gen != h.gen || ev.index == idleIdx {
 		return
 	}
-	eng := ev.eng
-	switch {
-	case ev.index >= 0:
-		eng.heapRemove(ev.index)
-	case ev.index == wheelIdx:
-		eng.wheel.remove(ev)
-	default:
-		return
-	}
-	eng.pending--
+	ev.eng.heapRemove(ev.index)
 	if ev.owned {
 		ev.gen++ // disarm: fence stale handles from earlier arms
 	} else {
-		eng.release(ev)
+		ev.eng.release(ev)
 	}
 }
 
@@ -112,7 +89,7 @@ func (h Event) Pending() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.index != idleIdx
 }
 
-// heapEntry is one slot of the firing-stage heap. The ordering key lives
+// heapEntry is one slot of the timer heap. The ordering key lives
 // inline in the heap slice so sift comparisons never dereference the node —
 // the four children of a 4-ary parent are adjacent in memory, so a whole
 // sibling comparison round usually costs one cache line.
@@ -139,15 +116,13 @@ type wakeRef struct {
 // work with At/After/Spawn, then call Run (or RunUntil / RunFor). Call Stop
 // when done to release any processes still blocked inside the simulation.
 type Engine struct {
-	now   time.Duration
-	heap  []heapEntry // firing stage: due + far-overflow events, 4-ary min-heap on (at, seq)
-	wheel wheel       // near-future band: hierarchical timing wheel
-	free  []*event    // recycled nodes; bounds steady-state allocation at zero
-	seq   uint64
-	rng   *rand.Rand
+	now  time.Duration
+	heap []heapEntry // every queued event, 4-ary min-heap on (at, seq)
+	free []*event    // recycled nodes; bounds steady-state allocation at zero
+	seq  uint64
+	rng  *rand.Rand
 
-	pending int    // queued events across heap + wheel
-	fired   uint64 // events executed since construction
+	fired uint64 // events executed since construction
 
 	// wakeQ is the FIFO of batched process wakeups (insertion-order slice,
 	// never a map: batch delivery must be deterministic). Batch events pop
@@ -198,9 +173,8 @@ func (e *Engine) After(d time.Duration, fn func()) Event {
 // processes from within other processes.
 func (e *Engine) Immediate(fn func()) Event { return e.At(e.now, fn) }
 
-// schedule stamps ev's ordering key and routes it: due or past-horizon
-// deadlines go straight to the heap, the near-future band goes to the
-// wheel. ev must be idle.
+// schedule stamps ev with the ordering key (t, next sequence number) and
+// pushes it onto the heap. ev must be idle.
 func (e *Engine) schedule(ev *event, t time.Duration) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
@@ -211,17 +185,6 @@ func (e *Engine) schedule(ev *event, t time.Duration) {
 		// would let two queued events compare equal on (at, seq) and break
 		// the deterministic FIFO tie-order.
 		panic("sim: event sequence overflow")
-	}
-	ev.at, ev.seq = t, e.seq
-	e.pending++
-	if e.wheel.count == 0 {
-		// Nothing bucketed: re-anchor the drain boundary at the clock so
-		// deltas stay small and events land at the finest level.
-		e.wheel.tick = wheelTickOf(e.now)
-	}
-	if l := levelFor(e.wheel.tick, wheelTickOf(t)); l >= 0 {
-		e.wheel.insert(ev, l)
-		return
 	}
 	e.heapPush(heapEntry{at: t, seq: e.seq, ev: ev})
 }
@@ -297,31 +260,13 @@ func (e *Engine) RunUntil(t time.Duration) {
 			e.killProcs()
 		}
 	}()
-	for !e.stopped {
-		// Make the heap top the global minimum: drain every wheel slot
-		// whose start could hold an earlier (or same-instant, lower-seq)
-		// event. Slot starts are lower bounds, so "heap top strictly
-		// earlier than the earliest occupied slot" is the safe stop.
-		for e.wheel.count > 0 {
-			wAt := e.wheel.nextAt()
-			if len(e.heap) > 0 && e.heap[0].at < wAt {
-				break
-			}
-			if wAt > t {
-				break
-			}
-			e.drainEarliest()
-		}
-		if len(e.heap) == 0 {
-			break
-		}
+	for !e.stopped && len(e.heap) > 0 {
 		top := e.heap[0]
 		if top.at > t {
 			break
 		}
 		e.heapPopMin()
 		e.now = top.at
-		e.pending--
 		e.fired++
 		e.fire(top.ev)
 	}
@@ -401,9 +346,9 @@ func (e *Engine) killProcs() {
 	}
 }
 
-// Pending reports the number of queued events across the wheel and the
-// heap. Canceled events are removed eagerly and never counted.
-func (e *Engine) Pending() int { return e.pending }
+// Pending reports the number of queued events. Canceled events are removed
+// eagerly and never counted.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Fired reports the number of events executed since construction — the
 // numerator of the engine's events/sec throughput.
@@ -441,9 +386,7 @@ func (e *Engine) release(ev *event) {
 // A 4-ary layout halves the tree depth of the classic binary heap, and the
 // hand-inlined sift loops avoid container/heap's per-comparison interface
 // calls and per-push `any` boxing. The node's index field supports
-// O(log n) removal for Cancel. With the wheel absorbing the near-future
-// band, the heap holds only due and far-overflow events, so it stays
-// shallow even under millions of outstanding timers.
+// O(log n) removal for Cancel.
 
 func (e *Engine) heapPush(x heapEntry) {
 	e.heap = append(e.heap, x)

@@ -7,7 +7,6 @@ import (
 
 	"nadino/internal/dne"
 	"nadino/internal/fabric"
-	"nadino/internal/sim"
 )
 
 // Violation is one invariant failure, stamped with the virtual time it was
@@ -123,18 +122,6 @@ func Invariants() []Invariant {
 			Desc:     "speculated requests complete exactly once at the ingress boundary; losers return their buffers and in-flight state; no cancel touches a recycled generation",
 			Periodic: checkSpecPeriodic,
 			Final:    checkSpecFinal,
-		},
-		{
-			Name: "sched-equivalence",
-			Desc: "timing-wheel engine fires in the same order and at the same times as a pure-heap reference",
-			Final: func(r *Rig) []string {
-				// Seeded from the scenario so every fuzz case probes a distinct
-				// schedule/cancel/re-arm script across all wheel levels.
-				if err := sim.CheckEquivalence(r.sc.Seed, 400); err != nil {
-					return []string{err.Error()}
-				}
-				return nil
-			},
 		},
 	}
 }

@@ -105,12 +105,12 @@ func TestSweepClean(t *testing.T) {
 	}
 }
 
-// TestSpeculationSweepClean is invariant #13's seed sweep: every scenario
-// runs with cloning and/or hedging forced on, so the speculation-safety
-// checker (exactly-once at the boundary, losers returning buffers and
-// in-flight state, generation-fenced cancels) sees real clone traffic on
-// every seed — including seeds whose own draws add faults, gateways, PS
-// serving, or retry storms on top.
+// TestSpeculationSweepClean is the speculation-safety seed sweep: every
+// scenario runs with cloning and/or hedging forced on, so the
+// speculation-safety checker (exactly-once at the boundary, losers
+// returning buffers and in-flight state, generation-fenced cancels) sees
+// real clone traffic on every seed — including seeds whose own draws add
+// faults, gateways, PS serving, or retry storms on top.
 func TestSpeculationSweepClean(t *testing.T) {
 	n := int64(50)
 	if testing.Short() {
@@ -178,7 +178,7 @@ func TestSpeculationDeterministic(t *testing.T) {
 // TestGatewayScenarioForwards pins the gateway tier under the full invariant
 // registry: a 3-node scenario whose only tenant spans node0 -> node2 must
 // push every cross-node hop through the fabric (Forwarded > 0), survive a
-// mid-window partition, and pass all 13 invariants — including
+// mid-window partition, and pass every registered invariant — including
 // route-consistency — byte-identically across reruns.
 func TestGatewayScenarioForwards(t *testing.T) {
 	sc := Scenario{

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -33,11 +32,8 @@ type LiveWatchdog struct {
 
 // liveRuleState is the per-rule episode accumulator.
 type liveRuleState struct {
-	run      int
-	runStart time.Duration
-	runValue float64
-	fired    bool
-	missing  bool // series-not-found already reported
+	episode
+	missing bool // series-not-found already reported
 }
 
 // NewLiveWatchdog returns an empty live watchdog.
@@ -61,7 +57,7 @@ func (w *LiveWatchdog) step(sc *Scraper, now time.Duration) {
 	for i := range w.rules {
 		r := &w.rules[i]
 		st := &w.state[i]
-		if now < r.From || (r.To > 0 && now > r.To) {
+		if !r.covers(now) {
 			continue
 		}
 		s := sc.Lookup(r.Series)
@@ -80,24 +76,8 @@ func (w *LiveWatchdog) step(sc *Scraper, now time.Duration) {
 		if p.T != now {
 			continue // this series did not sample this window
 		}
-		if r.Op.holds(p.V, r.Bound) {
-			st.run, st.fired = 0, false
-			continue
-		}
-		if st.run == 0 {
-			st.runStart, st.runValue = p.T, p.V
-		}
-		st.run++
-		need := r.Sustain
-		if need < 1 {
-			need = 1
-		}
-		if st.run >= need && !st.fired {
-			st.fired = true
-			w.record(Violation{
-				Rule: r.Name, Series: r.Series, At: st.runStart, Value: st.runValue,
-				Detail: fmt.Sprintf("want %s %g, got %g for %d consecutive samples", r.Op, r.Bound, st.runValue, st.run),
-			})
+		if v, fired := st.observe(r, p.T, p.V); fired {
+			w.record(v)
 		}
 	}
 }

@@ -63,6 +63,45 @@ type Rule struct {
 	Sustain int
 }
 
+// covers reports whether a sample at t falls inside the rule's window
+// (To <= 0 leaves it open-ended).
+func (r *Rule) covers(t time.Duration) bool {
+	return t >= r.From && (r.To <= 0 || t <= r.To)
+}
+
+// episode is one threshold rule's breach state machine, shared by Watchdog
+// (replayed over a finished series) and LiveWatchdog (fed sample by sample
+// as the scraper lands them). Consecutive breaching samples form a run; the
+// run fires one violation once it reaches Sustain samples, and a conforming
+// sample closes the episode and re-arms the rule.
+type episode struct {
+	run      int
+	runStart time.Duration
+	runValue float64
+	fired    bool
+}
+
+// observe feeds one in-window sample of r's series to the state machine
+// and returns the violation to record if this sample fires the episode.
+func (e *episode) observe(r *Rule, t time.Duration, v float64) (Violation, bool) {
+	if r.Op.holds(v, r.Bound) {
+		e.run, e.fired = 0, false
+		return Violation{}, false
+	}
+	if e.run == 0 {
+		e.runStart, e.runValue = t, v
+	}
+	e.run++
+	if e.fired || e.run < max(r.Sustain, 1) {
+		return Violation{}, false
+	}
+	e.fired = true // one violation per breach episode
+	return Violation{
+		Rule: r.Name, Series: r.Series, At: e.runStart, Value: e.runValue,
+		Detail: fmt.Sprintf("want %s %g, got %g for %d consecutive samples", r.Op, r.Bound, e.runValue, e.run),
+	}, true
+}
+
 // RecoveryRule is a declarative recovery SLO: after the fault clears at
 // ClearAt, the series must make a sustained return to within Tolerance of
 // its own baseline (measured over [BaselineFrom, BaselineTo]) in at most
@@ -128,33 +167,14 @@ func evalThreshold(r Rule, s *metrics.Series) []Violation {
 	if s == nil {
 		return []Violation{{Rule: r.Name, Series: r.Series, Detail: "series not found"}}
 	}
-	need := r.Sustain
-	if need < 1 {
-		need = 1
-	}
 	var out []Violation
-	run := 0
-	var runStart time.Duration
-	var runValue float64
-	fired := false
+	var ep episode
 	for _, p := range s.Points {
-		if p.T < r.From || (r.To > 0 && p.T > r.To) {
+		if !r.covers(p.T) {
 			continue
 		}
-		if r.Op.holds(p.V, r.Bound) {
-			run, fired = 0, false
-			continue
-		}
-		if run == 0 {
-			runStart, runValue = p.T, p.V
-		}
-		run++
-		if run >= need && !fired {
-			out = append(out, Violation{
-				Rule: r.Name, Series: r.Series, At: runStart, Value: runValue,
-				Detail: fmt.Sprintf("want %s %g, got %g for %d consecutive samples", r.Op, r.Bound, runValue, run),
-			})
-			fired = true // one violation per breach episode
+		if v, fired := ep.observe(&r, p.T, p.V); fired {
+			out = append(out, v)
 		}
 	}
 	return out
