@@ -116,3 +116,27 @@ func BenchmarkProcSpawn(b *testing.B) {
 		eng.Run()
 	}
 }
+
+// BenchmarkProcHandoff measures the Proc-to-Proc wake through the event
+// queue: two processes ping-pong a token through a pair of Queues, so each
+// op is one round trip — two Put-wakes-Get handoffs, each a same-instant
+// wake event plus a switch into the woken process.
+func BenchmarkProcHandoff(b *testing.B) {
+	b.ReportAllocs()
+	eng := NewEngine(1)
+	defer eng.Stop()
+	ping, pong := NewQueue[int](eng, 0), NewQueue[int](eng, 0)
+	eng.Spawn("pinger", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Put(p, i)
+			pong.Get(p)
+		}
+	})
+	eng.Spawn("ponger", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Put(p, ping.Get(p))
+		}
+	})
+	b.ResetTimer()
+	eng.Run()
+}

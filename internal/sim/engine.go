@@ -3,13 +3,14 @@
 // The engine owns a virtual clock and a single timer queue. Model code
 // runs either as plain event callbacks or as coroutine-style processes
 // (Proc) that can block on virtual time and on synchronization primitives.
-// Exactly one goroutine executes at any instant — the engine hands control
-// to a process and waits for it to yield — so simulations are fully
-// deterministic for a given seed and are safe to write without locks.
+// Exactly one of them executes at any instant — the engine switches into a
+// process's coroutine and the process switches back when it blocks — so
+// simulations are fully deterministic for a given seed and are safe to
+// write without locks.
 //
 // The hot path is allocation-free at steady state: fired and canceled
 // events return to a per-engine free list, process state (including the
-// goroutine) is pooled behind generation-fenced handles, and the timer
+// coroutine) is pooled behind generation-fenced handles, and the timer
 // queue is a hand-inlined indexed 4-ary min-heap keyed on (time, sequence),
 // so events always fire in exactly that order: O(log n) insert and cancel,
 // O(1) peek at the next deadline. Engines are single-threaded but
@@ -21,7 +22,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -115,6 +115,9 @@ type wakeRef struct {
 // Engine is a discrete-event simulator. Create one with NewEngine, schedule
 // work with At/After/Spawn, then call Run (or RunUntil / RunFor). Call Stop
 // when done to release any processes still blocked inside the simulation.
+// Event callbacks run on the goroutine that calls Run; process bodies run
+// as coroutines that it switches into and that switch straight back, so
+// only one of them executes at a time.
 type Engine struct {
 	now  time.Duration
 	heap []heapEntry // every queued event, 4-ary min-heap on (at, seq)
@@ -130,17 +133,15 @@ type Engine struct {
 	wakeQ    []wakeRef
 	wakeHead int
 
-	freeProcs []*Proc // recycled process state (channels, goroutine, timer)
+	freeProcs []*Proc // recycled process state (coroutine, timer)
 	allProcs  []*Proc // every process ever built, for the Stop kill sweep
 
 	stopped bool
 	running bool
 	// killOnExit defers the Stop kill sweep until the dispatch chain has
-	// unwound and every process goroutine is parked (Stop called mid-Run).
+	// unwound and every process is suspended (Stop called mid-Run).
 	killOnExit bool
-	// procs counts live processes; atomic because process goroutines
-	// decrement it concurrently while draining after Stop.
-	procs atomic.Int64
+	procs      int // live processes: spawned and not yet returned or killed
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -245,6 +246,10 @@ func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }
 
 // RunUntil executes events with timestamps <= t, advancing the clock to t
 // (or stopping earlier if the queue drains or Stop is called).
+//
+// A panic in an event callback or a process body propagates out of RunUntil
+// on the calling goroutine with its original value. The engine is then in
+// an undefined state and must not be run again; Stop is still safe.
 func (e *Engine) RunUntil(t time.Duration) {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -253,9 +258,9 @@ func (e *Engine) RunUntil(t time.Duration) {
 	defer func() {
 		e.running = false
 		if e.killOnExit {
-			// Stop was called mid-run; every process goroutine has parked by
-			// now (the dispatch chain fully unwinds before the loop exits),
-			// so the kill sweep can deliver its poison tokens.
+			// Stop was called mid-run; every process is suspended by now
+			// (the dispatch chain fully unwinds before the loop exits), so
+			// the kill sweep can unwind them.
 			e.killOnExit = false
 			e.killProcs()
 		}
@@ -314,15 +319,17 @@ func (e *Engine) fire(ev *event) {
 	}
 }
 
-// Stop halts the simulation and releases every process still blocked inside
-// it (their goroutines exit, running any deferred calls). The engine must
-// not be used afterwards.
+// Stop halts the simulation and releases every process still inside it:
+// each blocked body is unwound, running its deferred calls, and each body
+// spawned but not yet started is dropped. The sweep is synchronous — when it
+// completes, Procs reports 0 and every process coroutine is idle, parked in
+// a process-wide pool that later engines build their processes from. The
+// engine must not be used afterwards, nor after a panic escaped RunUntil.
 //
 // Called between runs (the usual `defer eng.Stop()`), the kill sweep runs
-// immediately: every process goroutine is parked, so each poison token is
-// delivered synchronously. Called from inside the simulation (an event
-// callback or process body), the sweep is deferred to the run loop's exit,
-// after the dispatch chain has unwound.
+// before Stop returns. Called from inside the simulation (an event callback
+// or process body), the sweep is deferred to the run loop's exit, after the
+// dispatch chain has unwound.
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
@@ -335,14 +342,21 @@ func (e *Engine) Stop() {
 	e.killProcs()
 }
 
-// killProcs delivers a poison token to every parked process goroutine. Only
-// call with all goroutines parked (engine not running).
+// killProcs unwinds every blocked body, drops every body that was spawned
+// but never dispatched, and hands each process coroutine on to coroPool for
+// later engines. Only call with every process suspended (engine not
+// running).
 func (e *Engine) killProcs() {
 	for _, p := range e.allProcs {
-		if p.started {
-			p.started = false
-			p.resume <- false
+		c := p.co
+		p.killed = true
+		if p.body != nil {
+			if _, ok := c.next(); !ok {
+				continue // a body panic ended this coroutine
+			}
 		}
+		p.co = nil
+		putCoro(c)
 	}
 }
 
@@ -355,7 +369,7 @@ func (e *Engine) Pending() int { return len(e.heap) }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Procs reports the number of live processes.
-func (e *Engine) Procs() int { return int(e.procs.Load()) }
+func (e *Engine) Procs() int { return e.procs }
 
 // ---- event pool ----
 

@@ -345,11 +345,7 @@ func TestStopReleasesBlockedProcs(t *testing.T) {
 		t.Fatalf("live procs = %d, want 5", e.Procs())
 	}
 	e.Stop()
-	// Goroutines exit asynchronously; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Procs() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// The kill sweep is synchronous: nothing is left to drain.
 	if e.Procs() != 0 {
 		t.Fatalf("live procs after Stop = %d, want 0", e.Procs())
 	}
@@ -541,7 +537,7 @@ func TestProcPoolReuse(t *testing.T) {
 // 0 allocs/op).
 func TestSpawnSleepZeroAlloc(t *testing.T) {
 	e := NewEngine(8)
-	// Prime: first spawn allocates the Proc, channels, goroutine, timer.
+	// Prime: first spawn allocates the Proc, coroutine and timer.
 	e.Spawn("prime", func(p *Proc) { p.Sleep(time.Microsecond) })
 	e.Run()
 	allocs := testing.AllocsPerRun(100, func() {

@@ -146,6 +146,11 @@ func Run(sc Scenario) *Result {
 	}
 	res.Report = res.render()
 	res.Fingerprint = fingerprint(res.Report)
+	if r != nil {
+		// Unwind the processes still blocked in the world so their
+		// coroutines return to the sim pool for the next scenario.
+		r.eng.Stop()
+	}
 	return res
 }
 
