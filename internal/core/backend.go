@@ -19,6 +19,14 @@ func ingressResponse(bytes int, stamp time.Duration) ingress.Response {
 // rqOwner is the owner tag for buffers posted to the ingress backend's SRQ.
 const rqOwner mempool.Owner = "igw-rq"
 
+// The ingress backend's per-tenant pool first fills a receive ring of
+// ingressRing buffers for worker responses, then feeds request sends
+// through a cache of ingressCache buffers.
+const (
+	ingressRing  = 1024
+	ingressCache = 64
+)
+
 // beTenant is the ingress backend's per-tenant slice: its own pool on the
 // ingress node, a shared receive queue, and RC pools toward each worker.
 type beTenant struct {
@@ -43,6 +51,8 @@ type rdmaBackend struct {
 	tenants   map[string]*beTenant
 	tenantSeq []*beTenant // insertion order: map walks are nondeterministic
 
+	// drops counts requests the backend gave up on: no send buffer, or a
+	// send that failed (sendErrors counts those too).
 	drops      uint64
 	sendErrors uint64
 }
@@ -68,7 +78,7 @@ func (b *rdmaBackend) tenant(name string) *beTenant {
 			rqBuf: make([]mempool.Buffer, 64),
 			rqDsc: make([]mempool.Descriptor, 64),
 		}
-		t.cache = mempool.NewCache(t.pool, ingressOwner, 64)
+		t.cache = mempool.NewCache(t.pool, ingressOwner, ingressCache)
 		b.tenants[name] = t
 		b.tenantSeq = append(b.tenantSeq, t)
 	}
@@ -78,7 +88,7 @@ func (b *rdmaBackend) tenant(name string) *beTenant {
 // start posts the initial receive rings and spawns the completion poller.
 func (b *rdmaBackend) start() {
 	for _, t := range b.tenantSeq {
-		b.post(t, 1024)
+		b.post(t, ingressRing)
 	}
 	b.c.Eng.Spawn("ingress-rdma-poller", b.pollLoop)
 }
@@ -140,7 +150,7 @@ func (b *rdmaBackend) Forward(req ingress.Request, done func(ingress.Response)) 
 		Trace: req.Trace,
 		Spec:  rc.Spec,
 	}
-	entry.noteInflight()
+	rc.bind(entry)
 	cp := t.conns[string(entry.node.name)]
 	qp := cp.Pick()
 	qp.PostSend(d)
@@ -167,7 +177,14 @@ func (b *rdmaBackend) pollLoop(pr *sim.Proc) {
 				case rdma.OpSend:
 					cqe.Desc.Trace.EndStage(trace.StageRDMAAck)
 					if cqe.Status != rdma.StatusOK {
+						// The request never reached its entry function and
+						// nothing retries it: account it as a drop, and
+						// re-handshake the connection so later requests to
+						// that node get through again.
 						b.sendErrors++
+						b.drops++
+						cqe.Desc.NotifyDropped()
+						t.conns[string(cqe.QP.Peer().RNIC().Node())].Repair()
 					}
 					if cqe.Desc.Tenant != "" {
 						if err := t.cache.Put(cqe.Desc.Buf); err != nil {
@@ -233,7 +250,7 @@ func (b *tcpBackend) Forward(req ingress.Request, done func(ingress.Response)) {
 		rc.Spec = req.Group.Killed
 	}
 	mc := &msgCtx{Kind: kindRequest, Req: rc}
-	entry.noteInflight()
+	rc.bind(entry)
 	t0 := b.c.Eng.Now()
 	b.c.Eng.After(b.c.tcpTransit(b.c.workerStack()), func() {
 		req.Trace.Record(trace.StageTransit, "wire", t0, b.c.Eng.Now())

@@ -311,9 +311,6 @@ func (c *Cluster) addNode(name string) {
 // pool returns node n's unified memory pool for tenant.
 func (n *Node) pool(tenant string) *mempool.Pool { return n.pools[tenant] }
 
-// noteInflight counts an ingress-originated request against the instance.
-func (f *Function) noteInflight() { f.inflight++ }
-
 func (c *Cluster) addFunction(fs FunctionSpec) *Function {
 	if fs.Workers == 0 {
 		fs.Workers = 8
@@ -461,15 +458,63 @@ func (c *Cluster) Gateways() []*gateway.Gateway {
 	return out
 }
 
+// NodeNames lists the worker nodes in declaration order.
+func (c *Cluster) NodeNames() []string {
+	out := make([]string, len(c.nodeSeq))
+	for i, n := range c.nodeSeq {
+		out[i] = string(n.name)
+	}
+	return out
+}
+
+// Pool returns node's unified memory pool for tenant (nil when either is
+// unknown).
+func (c *Cluster) Pool(node, tenant string) *mempool.Pool {
+	if n := c.nodes[node]; n != nil {
+		return n.pools[tenant]
+	}
+	return nil
+}
+
+// Processors lists the worker-node cores — DPU ARM cores, the network
+// engine's worker and keeper, the gateway core — then every function core,
+// in node and declaration order.
+func (c *Cluster) Processors() []*sim.Processor {
+	var out []*sim.Processor
+	for _, n := range c.nodeSeq {
+		out = append(out, n.dpu.Cores()...)
+		if n.engine != nil {
+			out = append(out, n.engine.WorkerCore(), n.engine.KeeperCore())
+		}
+		if n.gw != nil {
+			out = append(out, n.gw.Core())
+		}
+	}
+	for _, f := range c.fnSeq {
+		out = append(out, f.core)
+	}
+	return out
+}
+
+// IngressDrops reports requests the ingress RDMA backend gave up on: no
+// send buffer in the tenant's ingress pool, or a send that failed.
+func (c *Cluster) IngressDrops() uint64 {
+	if c.rdmaBE == nil {
+		return 0
+	}
+	return c.rdmaBE.drops
+}
+
 // Net returns the cluster fabric (chaos injection and stats).
 func (c *Cluster) Net() *fabric.Network { return c.net }
 
 // NewChaos builds a fault injector over the whole cluster with every
 // standard target registered: the gateway as "ingress", and per node the
-// SoC DMA as "dma@<node>", the DPU ARM cores as "cores@<node>", and the
-// node engine's RC connection pools as "qp@<node>" (a lazy provider —
-// pools only exist once setup completes). Non-NADINO systems register no
-// QP targets for nodes without an engine.
+// SoC DMA as "dma@<node>", the DPU ARM cores as "cores@<node>", the node
+// engine's RC connection pools as "qp@<node>", and the QP state a reboot
+// loses as "crash@<node>" (for chaos.NodeCrash). QP targets are lazy
+// providers — pools only exist once setup completes. Non-NADINO systems
+// register no QP targets for nodes without an engine.
 func (c *Cluster) NewChaos(seed int64) *chaos.Injector {
 	in := chaos.NewInjector(c.Eng, c.net, seed)
 	in.RegisterGateway("ingress", c.gw)
@@ -479,28 +524,56 @@ func (c *Cluster) NewChaos(seed int64) *chaos.Injector {
 		in.RegisterCores("cores@"+string(node.name), node.dpu.Cores()...)
 		if node.engine != nil {
 			in.RegisterQPs("qp@"+string(node.name), func() []chaos.QPErrorTarget {
-				pools := node.engine.ConnPools()
-				ts := make([]chaos.QPErrorTarget, len(pools))
-				for i, cp := range pools {
-					ts[i] = cp
-				}
-				return ts
+				return qpTargets(node.engine.ConnPools())
+			})
+			in.RegisterQPs("crash@"+string(node.name), func() []chaos.QPErrorTarget {
+				return c.crashTargets(node)
 			})
 		}
 		if node.gw != nil {
 			g := node.gw
 			in.RegisterQPs("gw-qp@"+string(node.name), func() []chaos.QPErrorTarget {
-				pools := g.Links()
-				ts := make([]chaos.QPErrorTarget, len(pools))
-				for i, cp := range pools {
-					ts[i] = cp
-				}
-				return ts
+				return qpTargets(g.Links())
 			})
 			in.RegisterCores("gw-cores@"+string(node.name), g.Core())
 		}
 	}
 	return in
+}
+
+// qpTargets adapts connection pools to chaos QP targets.
+func qpTargets(pools []*rdma.ConnPool) []chaos.QPErrorTarget {
+	ts := make([]chaos.QPErrorTarget, len(pools))
+	for i, cp := range pools {
+		ts[i] = cp
+	}
+	return ts
+}
+
+// crashTargets is the QP state a reboot of n loses on both ends: n's own
+// engine pools and gateway links, plus every peer's pools and gateway link
+// toward n.
+func (c *Cluster) crashTargets(n *Node) []chaos.QPErrorTarget {
+	ts := qpTargets(n.engine.ConnPools())
+	if n.gw != nil {
+		ts = append(ts, qpTargets(n.gw.Links())...)
+	}
+	for _, peer := range c.nodeSeq {
+		if peer == n {
+			continue
+		}
+		for _, t := range c.tenants {
+			if cp := peer.engine.ConnPool(n.name, t.Name); cp != nil {
+				ts = append(ts, cp)
+			}
+		}
+		if peer.gw != nil {
+			if cp := peer.gw.Link(n.name); cp != nil {
+				ts = append(ts, cp)
+			}
+		}
+	}
+	return ts
 }
 
 // setup establishes RC connections, starts engines, backends and function

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"nadino/internal/ingress"
 	"nadino/internal/speculate"
 )
 
@@ -171,6 +172,12 @@ func LoadConfig(r io.Reader) (Config, error) {
 	return cfg, cfg.Validate()
 }
 
+// MinPoolBuffers is the smallest PoolBuffers a NADINO cluster serves
+// requests with: the ingress backend's per-tenant pool (dimensioned like
+// the node pools) must fill its receive ring and still feed its send
+// cache. Below it the ring takes every buffer and each request is dropped.
+const MinPoolBuffers = ingressRing + ingressCache
+
 // Validate checks a configuration for structural errors before it is used
 // to build a cluster (NewCluster panics on malformed input; Validate turns
 // the common mistakes into errors first).
@@ -180,6 +187,10 @@ func (c Config) Validate() error {
 	}
 	if len(c.Functions) == 0 {
 		return fmt.Errorf("core: config has no functions")
+	}
+	if c.PoolBuffers != 0 && c.PoolBuffers < MinPoolBuffers && c.System.IngressKind() == ingress.Nadino {
+		return fmt.Errorf("core: %d pool buffers cannot fill the ingress's %d-buffer receive ring and %d-buffer send cache (need at least %d)",
+			c.PoolBuffers, ingressRing, ingressCache, MinPoolBuffers)
 	}
 	nodes := map[string]bool{}
 	for _, n := range c.Nodes {

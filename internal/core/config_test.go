@@ -112,12 +112,39 @@ func TestValidateCatchesMistakes(t *testing.T) {
 		{"bad entry", func(c *Config) { c.Chains[0].Entry = "ghost" }},
 		{"bad callee", func(c *Config) { c.Chains[0].Calls[0].Callee = "ghost" }},
 		{"duplicate chain", func(c *Config) { c.Chains = append(c.Chains, c.Chains[0]) }},
+		{"pool below the ingress ring", func(c *Config) { c.PoolBuffers = MinPoolBuffers - 1 }},
 	}
 	for _, tc := range cases {
 		cfg := base()
 		tc.mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a broken config", tc.name)
+		}
+	}
+}
+
+// TestValidatePoolBound pins where the pool-size bound sits: a NADINO
+// cluster needs the ingress ring plus its send cache, a TCP-ingress system
+// has no ring, and 0 keeps the default pool.
+func TestValidatePoolBound(t *testing.T) {
+	cfg, err := LoadConfig(strings.NewReader(sampleConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sys  System
+		bufs int
+		ok   bool
+	}{
+		{NadinoDNE, 0, true},
+		{NadinoDNE, MinPoolBuffers, true},
+		{NadinoDNE, ingressRing, false},
+		{NadinoCNE, MinPoolBuffers - 1, false},
+		{Spright, ingressRing, true},
+	} {
+		cfg.System, cfg.PoolBuffers = tc.sys, tc.bufs
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%v with %d pool buffers: Validate() = %v, want ok=%v", tc.sys, tc.bufs, err, tc.ok)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -33,7 +34,7 @@ func (c *Cluster) functionWorker(pr *sim.Proc, f *Function) {
 			if err := f.node.pool(f.tenant).Put(d.Buf, f.owner); err != nil {
 				panic(fmt.Sprintf("core: %s cancelled clone recycle: %v", f.name, err))
 			}
-			f.inflight--
+			mc.Req.settle()
 			c.specFnKills++
 			continue
 		}
@@ -76,7 +77,7 @@ func (c *Cluster) functionWorker(pr *sim.Proc, f *Function) {
 		if !failed {
 			c.respond(pr, f, rc, tr)
 		}
-		f.inflight--
+		rc.settle()
 	}
 }
 
@@ -110,6 +111,10 @@ func (c *Cluster) execApp(pr *sim.Proc, f *Function, cost time.Duration) {
 	c.appBusy += cost
 }
 
+// errCallDropped fails a call whose request or response a layer dropped
+// for good (see msgCtx.Dropped).
+var errCallDropped = errors.New("core: call dropped by the data plane")
+
 // invoke performs one synchronous downstream call and waits for the
 // response. The unified I/O library (send) picks the transport.
 func (c *Cluster) invoke(pr *sim.Proc, f *Function, call Call, chain string, tr *trace.Req) error {
@@ -131,6 +136,9 @@ func (c *Cluster) invoke(pr *sim.Proc, f *Function, call Call, chain string, tr 
 		return err
 	}
 	resp := cc.q.Get(pr)
+	if resp.Ctx == nil {
+		return errCallDropped
+	}
 	// Consume and recycle the response buffer (the sidecar has already
 	// normalized cross-tenant responses into f's own pool).
 	if err := f.node.pool(f.tenant).Put(resp.Buf, f.owner); err != nil {
@@ -215,10 +223,7 @@ func (c *Cluster) send(pr *sim.Proc, f *Function, dst string, d mempool.Descript
 	}
 	d.Dst = target.name // concrete instance after load balancing
 	if mc, ok := d.Ctx.(*msgCtx); ok && mc.Kind == kindRequest {
-		// Count the request against the instance from routing time: the
-		// autoscaler's concurrency signal must see work queued anywhere
-		// along the path, not only what reached the inbox.
-		target.inflight++
+		mc.Req.bind(target)
 	}
 	p := c.P
 	sameNode := target.node == f.node
@@ -342,9 +347,19 @@ func (c *Cluster) deliver(pr *sim.Proc, f *Function, d mempool.Descriptor) {
 		d.Trace.BeginStage(trace.StageFnQueue, f.name)
 		f.inbox.TryPut(d)
 	case kindResponse:
-		if mc.Call == nil {
+		cc := mc.Call
+		if cc == nil {
 			panic(fmt.Sprintf("core: %s received response with no caller", f.name))
 		}
-		mc.Call.q.TryPut(d)
+		if cc.decided {
+			// A retry duplicate, or an answer to a call already failed as
+			// dropped: nobody waits for it.
+			if err := f.node.pool(f.tenant).Put(d.Buf, f.owner); err != nil {
+				panic(fmt.Sprintf("core: %s late response recycle: %v", f.name, err))
+			}
+			return
+		}
+		cc.decided = true
+		cc.q.TryPut(d)
 	}
 }

@@ -157,6 +157,19 @@ const (
 // callCtx is a caller's rendezvous for one outstanding invocation.
 type callCtx struct {
 	q *sim.Queue[mempool.Descriptor]
+	// decided is set once the call has an outcome — its response arrived
+	// or a layer dropped it for good — so a late duplicate response is
+	// recycled on arrival instead of parked where no caller reads it.
+	decided bool
+}
+
+// fail wakes the caller with the zero descriptor (no Ctx): a layer dropped
+// the call or its response, so no answer will ever come.
+func (cc *callCtx) fail() {
+	if !cc.decided {
+		cc.decided = true
+		cc.q.TryPut(mempool.Descriptor{})
+	}
 }
 
 // reqCtx travels with a request descriptor and tells the invoked function
@@ -175,6 +188,27 @@ type reqCtx struct {
 	// nested calls — a clone that starts executing runs its call tree to
 	// completion, so a mid-chain kill can never strand a waiting caller.
 	Spec func() bool
+	// callee is the instance whose inflight count this request holds,
+	// until settle returns it (once, however many copies of the
+	// descriptor the transport's at-least-once retries produce).
+	callee *Function
+}
+
+// bind counts the request against instance f from routing time: the
+// autoscaler's concurrency signal must see work queued anywhere along the
+// path, not only what reached the inbox.
+func (rc *reqCtx) bind(f *Function) {
+	rc.callee = f
+	f.inflight++
+}
+
+// settle returns the request's inflight slot: it was served, killed as a
+// losing clone, or dropped by the data plane.
+func (rc *reqCtx) settle() {
+	if rc.callee != nil {
+		rc.callee.inflight--
+		rc.callee = nil
+	}
 }
 
 // msgCtx is the Ctx payload carried by every descriptor in the cluster.
@@ -185,4 +219,20 @@ type msgCtx struct {
 	// IngressDone set on responses headed back to the ingress.
 	IngressDone func(ingress.Response)
 	Stamp       time.Duration
+}
+
+// Dropped implements mempool.DropNotifier. A layer gave the descriptor up
+// for good (retry budget, no route, no port, failed ingress send): a
+// request hands back its callee's inflight slot, and a caller waiting on
+// the call fails, so its handler releases what it holds instead of
+// blocking forever.
+func (mc *msgCtx) Dropped() {
+	cc := mc.Call
+	if mc.Kind == kindRequest {
+		mc.Req.settle()
+		cc = mc.Req.Call
+	}
+	if cc != nil {
+		cc.fail()
+	}
 }

@@ -384,6 +384,10 @@ func (e *Engine) Tenant(tenant string) (tx, rx *metrics.Meter) {
 // SRQ returns a tenant's shared receive queue.
 func (e *Engine) SRQ(tenant string) *rdma.SRQ { return e.tenants[tenant].srq }
 
+// InitialRQ reports the receive-ring depth the keeper keeps posted per
+// tenant.
+func (e *Engine) InitialRQ() int { return e.cfg.InitialRQ }
+
 // internFn returns fn's dense ID, assigning one on first use.
 func (e *Engine) internFn(fn string) int32 {
 	id, ok := e.fnIDs[fn]
@@ -650,6 +654,7 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 		e.frDrop(flightrec.KindDropNoRoute, &d)
 		e.releaseBuffer(d)
 		sp.End()
+		d.NotifyDropped()
 		return
 	}
 	if e.fwd != nil && nodeIdx != e.selfIdx {
@@ -678,6 +683,7 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 		e.frDrop(flightrec.KindDropNoRoute, &d)
 		e.releaseBuffer(d)
 		sp.End()
+		d.NotifyDropped()
 		return
 	}
 	if e.cfg.Mode == OnPath {
@@ -716,6 +722,9 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 			}
 			e.dropRetryBudget++
 			e.frDrop(flightrec.KindDropRetry, &d)
+			e.releaseBuffer(d)
+			d.NotifyDropped()
+			return
 		}
 		e.releaseBuffer(cqe.Desc)
 	case rdma.OpRecv:
@@ -733,6 +742,7 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 			e.frDrop(flightrec.KindDropNoPort, &d)
 			e.releaseRQBuffer(d)
 			sp.End()
+			d.NotifyDropped()
 			return
 		}
 		ts := e.tenantOf(&d)
@@ -769,6 +779,7 @@ func (e *Engine) gwDeliver(pr *sim.Proc, d mempool.Descriptor) {
 			}
 		}
 		sp.End()
+		d.NotifyDropped()
 		return
 	}
 	ts := e.tenantOf(&d)

@@ -25,7 +25,10 @@ type Fig09Result struct {
 
 // runComch drives n host functions issuing back-to-back 16 B descriptor
 // echoes against a single-core DNE-like consumer on the DPU (§3.5.4's
-// setup), returning mean RTT and aggregate rate.
+// setup), returning mean RTT and aggregate rate. It wires the channel
+// endpoints by hand rather than through core.Cluster: the figure isolates
+// the host<->DPU channel, with no RDMA, ingress or function runtime in the
+// loop, and a cluster would add their costs and change the golden lines.
 func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur time.Duration) (time.Duration, float64) {
 	eng := sim.NewEngine(seed)
 	defer eng.Stop()

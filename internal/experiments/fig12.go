@@ -46,7 +46,11 @@ type Fig12Result struct {
 
 // runOneSidedEcho measures an echo pair built on one-sided writes, with
 // the variant's coordination (receiver-side copies or distributed locks).
-// One core per side, FaRM-style polling receivers.
+// One core per side, FaRM-style polling receivers. It posts verbs on bare
+// RNICs rather than through core.Cluster: the figure isolates the RDMA
+// primitive, and the cluster only ever runs two-sided sends through a DNE,
+// so it could not express these variants without changing the golden
+// lines.
 func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload, clients int, dur time.Duration) (float64, time.Duration) {
 	eng := sim.NewEngine(seed)
 	defer eng.Stop()

@@ -195,8 +195,7 @@ func runResStorm(o Opts, faulted bool) *StormResult {
 	// of its own pre-storm baseline inside the remaining quarter of the
 	// run. This SLO rule replaces the hand-rolled ratio assertion the
 	// resilience test used to carry.
-	wd := telemetry.NewWatchdog()
-	wd.AddRecovery(telemetry.RecoveryRule{
+	res.Violations = telemetry.RecoveryRule{
 		Name:         "goodput-recovers",
 		Series:       tenant,
 		BaselineFrom: base + total/24,
@@ -205,8 +204,7 @@ func runResStorm(o Opts, faulted bool) *StormResult {
 		Within:       total / 4,
 		Tolerance:    0.05,
 		Sustain:      2,
-	})
-	res.Violations = wd.Evaluate(func(key string) *metrics.Series { return series[key] })
+	}.Check(series[tenant])
 	res.Telem = sc
 	res.RTT = stats[tenant].rtt.Snapshot()
 	_, _, _, _, serrA := r.ea.Stats()

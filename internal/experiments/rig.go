@@ -16,7 +16,16 @@ import (
 )
 
 // dneRig is a two-worker-node setup with a network engine per node and one
-// or more tenants, used by the microbenchmarks (Figs. 6, 11, 15, 17).
+// or more tenants, used by the microbenchmarks (Figs. 6, 11, 15, 17) and
+// the res-* suite.
+//
+// It builds its layers by hand, unlike everything else that runs a
+// cluster, on purpose: these figures isolate the network engine, with echo
+// functions attached straight to the DNE ports and no ingress, function
+// runtime or sidecar in the path, and with per-figure knobs (scheduler,
+// on-path mode, RC pool depth, engine load) that core.Config does not
+// select. Moving them onto core.Cluster would add those layers' costs and
+// change the golden lines.
 type dneRig struct {
 	eng    *sim.Engine
 	p      *params.Params

@@ -374,6 +374,7 @@ func (g *Gateway) pump(pr *sim.Proc) bool {
 		g.dropped++
 		g.frDrop(&d)
 		g.releaseSource(d)
+		d.NotifyDropped()
 		return true
 	}
 	if tr.slots.Len() == 0 {
@@ -427,6 +428,7 @@ func (g *Gateway) handleCQE(pr *sim.Proc, e rdma.CQE) {
 	g.dropped++
 	g.frDrop(&d)
 	g.releaseSource(d)
+	d.NotifyDropped()
 }
 
 // ingest consumes one landed write: restock the window, then deliver
@@ -450,6 +452,7 @@ func (g *Gateway) ingest(pr *sim.Proc, tr *tenantReg, l rdma.Landed) {
 		g.dropped++
 		g.frDrop(&d)
 		tr.pool.Put(d.Buf, g.owner)
+		d.NotifyDropped()
 		return
 	}
 	if dst == g.self {
@@ -463,6 +466,7 @@ func (g *Gateway) ingest(pr *sim.Proc, tr *tenantReg, l rdma.Landed) {
 		g.dropped++
 		g.frDrop(&d)
 		tr.pool.Put(d.Buf, g.owner)
+		d.NotifyDropped()
 		return
 	}
 	d.Hops++

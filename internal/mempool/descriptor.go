@@ -53,3 +53,18 @@ type Descriptor struct {
 	// not part of the modeled 16 bytes.
 	Spec func() bool
 }
+
+// DropNotifier is implemented by request contexts (Descriptor.Ctx) that
+// must learn when the data plane gives their descriptor up for good, so
+// whoever waits on it can fail instead of blocking forever.
+type DropNotifier interface {
+	Dropped()
+}
+
+// NotifyDropped tells d's context, if it asks to be told, that no layer
+// will deliver d. Carriers call it once, where they finally drop d.
+func (d *Descriptor) NotifyDropped() {
+	if n, ok := d.Ctx.(DropNotifier); ok {
+		n.Dropped()
+	}
+}

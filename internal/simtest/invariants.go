@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"nadino/internal/dne"
 	"nadino/internal/fabric"
 )
 
@@ -54,12 +53,12 @@ func Invariants() []Invariant {
 			Desc: "every processor's busy time is monotone and bounded by wall time",
 			Periodic: func(r *Rig, now time.Duration) string {
 				for i, c := range r.cores {
-					b := c.proc.BusyTime()
+					b := c.BusyTime()
 					if b > now {
-						return fmt.Sprintf("%s busy %v exceeds elapsed %v", c.label, b, now)
+						return fmt.Sprintf("%s busy %v exceeds elapsed %v", c.Name(), b, now)
 					}
 					if b < r.lastBusy[i] {
-						return fmt.Sprintf("%s busy time shrank %v -> %v", c.label, r.lastBusy[i], b)
+						return fmt.Sprintf("%s busy time shrank %v -> %v", c.Name(), r.lastBusy[i], b)
 					}
 					r.lastBusy[i] = b
 				}
@@ -74,7 +73,7 @@ func Invariants() []Invariant {
 		},
 		{
 			Name:     "request-conservation",
-			Desc:     "issued = completed + in-flight; in-flight bounded by engine drops",
+			Desc:     "every request answered at most once; unanswered requests bounded by counted drops",
 			Periodic: checkRequestsPeriodic,
 			Final:    checkRequestsFinal,
 		},
@@ -126,28 +125,18 @@ func Invariants() []Invariant {
 	}
 }
 
-// checkBuffersPeriodic audits every tenant pool's internal accounting and
+// checkBuffersPeriodic audits every node pool's internal accounting and
 // cross-checks it against the receive ring it backs.
 func checkBuffersPeriodic(r *Rig, now time.Duration) string {
-	for _, tr := range r.tenants {
-		cli, srv := r.nodes[tr.sc.CliNode], r.nodes[tr.sc.SrvNode]
-		for _, side := range []struct {
-			label string
-			pool  interface {
-				Audit() error
-				InUse() int
+	for _, node := range r.nodes {
+		for _, tr := range r.tenants {
+			pool := r.c.Pool(node, tr.sc.Name)
+			if err := pool.Audit(); err != nil {
+				return fmt.Sprintf("tenant %s@%s: %v", tr.sc.Name, node, err)
 			}
-			posted int
-		}{
-			{"cli@" + string(cli.name), tr.cliPool, cli.eng.SRQ(tr.sc.Name).Posted()},
-			{"srv@" + string(srv.name), tr.srvPool, srv.eng.SRQ(tr.sc.Name).Posted()},
-		} {
-			if err := side.pool.Audit(); err != nil {
-				return fmt.Sprintf("tenant %s %s: %v", tr.sc.Name, side.label, err)
-			}
-			if side.pool.InUse() < side.posted {
-				return fmt.Sprintf("tenant %s %s: %d buffers in use but %d posted to SRQ",
-					tr.sc.Name, side.label, side.pool.InUse(), side.posted)
+			if posted := r.c.Engine(node).SRQ(tr.sc.Name).Posted(); pool.InUse() < posted {
+				return fmt.Sprintf("tenant %s@%s: %d buffers in use but %d posted to SRQ",
+					tr.sc.Name, node, pool.InUse(), posted)
 			}
 		}
 	}
@@ -155,93 +144,74 @@ func checkBuffersPeriodic(r *Rig, now time.Duration) string {
 }
 
 // checkBuffersFinal requires every buffer home at quiesce: the only live
-// allocations are the pre-posted receive rings. A harness leak (the planted
-// defect) or an engine leak surfaces here as a per-pool surplus.
+// allocations in a node pool are the pre-posted receive ring and the
+// gateway's landing window. A harness leak (the planted defect) or a data
+// plane leak surfaces here as a per-pool surplus.
 func checkBuffersFinal(r *Rig) []string {
 	var out []string
-	for _, tr := range r.tenants {
-		cli, srv := r.nodes[tr.sc.CliNode], r.nodes[tr.sc.SrvNode]
-		for _, side := range []struct {
-			label  string
-			inUse  int
-			posted int
-			err    error
-		}{
-			{"cli@" + string(cli.name), tr.cliPool.InUse(),
-				cli.eng.SRQ(tr.sc.Name).Posted() + gwSlots(cli, tr.sc.Name), tr.cliPool.Audit()},
-			{"srv@" + string(srv.name), tr.srvPool.InUse(),
-				srv.eng.SRQ(tr.sc.Name).Posted() + gwSlots(srv, tr.sc.Name), tr.srvPool.Audit()},
-		} {
-			if side.err != nil {
-				out = append(out, fmt.Sprintf("tenant %s %s: %v", tr.sc.Name, side.label, side.err))
+	for _, node := range r.nodes {
+		for _, tr := range r.tenants {
+			pool := r.c.Pool(node, tr.sc.Name)
+			if err := pool.Audit(); err != nil {
+				out = append(out, fmt.Sprintf("tenant %s@%s: %v", tr.sc.Name, node, err))
 				continue
 			}
-			if side.inUse != side.posted {
+			held := r.c.Engine(node).SRQ(tr.sc.Name).Posted()
+			if gw := r.c.NodeGateway(node); gw != nil {
+				held += gw.SlotsHeld(tr.sc.Name)
+			}
+			if pool.InUse() != held {
 				out = append(out, fmt.Sprintf(
-					"tenant %s %s: %d buffers in use at quiesce, expected only the %d held by the receive ring and gateway window (leak of %d)",
-					tr.sc.Name, side.label, side.inUse, side.posted, side.inUse-side.posted))
+					"tenant %s@%s: %d buffers in use at quiesce, expected only the %d held by the receive ring and gateway window (leak of %d)",
+					tr.sc.Name, node, pool.InUse(), held, pool.InUse()-held))
 			}
 		}
 	}
 	return out
 }
 
-// checkRequestsPeriodic enforces the always-true half of the ledger.
+// checkRequestsPeriodic enforces the always-true half of the ledger: no
+// request is answered twice.
 func checkRequestsPeriodic(r *Rig, now time.Duration) string {
 	for _, tr := range r.tenants {
-		if tr.completed > tr.issued {
-			return fmt.Sprintf("tenant %s: completed %d > issued %d",
-				tr.sc.Name, tr.completed, tr.issued)
-		}
-		if tr.issued != tr.completed+uint64(tr.inFlight()) {
-			return fmt.Sprintf("tenant %s: issued %d != completed %d + in-flight %d",
-				tr.sc.Name, tr.issued, tr.completed, tr.inFlight())
+		if tr.dupReplies > 0 {
+			return fmt.Sprintf("tenant %s: %d answers past the first", tr.sc.Name, tr.dupReplies)
 		}
 	}
 	return ""
 }
 
-// checkRequestsFinal closes the ledger: at quiesce every issued request is
-// either completed or accounted to an engine drop counter; fault-free
-// scenarios may not lose anything at all.
+// checkRequestsFinal closes the ledger: at quiesce every unanswered
+// request is accounted to a drop counter; fault-free scenarios may not
+// lose anything at all.
 func checkRequestsFinal(r *Rig) []string {
 	var out []string
-	var drops uint64
-	for _, nr := range r.nodes {
-		_, _, noRoute, noPort, _ := nr.eng.Stats()
-		_, retryDropped := nr.eng.RetryStats()
-		drops += noRoute + noPort + retryDropped
-		if nr.gw != nil {
-			drops += nr.gw.Stats().Dropped
-		}
-	}
 	var inFlight uint64
 	for _, tr := range r.tenants {
-		if tr.issued != tr.completed+uint64(tr.inFlight()) {
-			out = append(out, fmt.Sprintf("tenant %s: issued %d != completed %d + in-flight %d",
-				tr.sc.Name, tr.issued, tr.completed, tr.inFlight()))
+		if tr.dupReplies > 0 {
+			out = append(out, fmt.Sprintf("tenant %s: %d answers past the first", tr.sc.Name, tr.dupReplies))
 		}
-		inFlight += uint64(tr.inFlight())
+		inFlight += tr.inFlight()
 	}
-	if inFlight > drops {
+	if drops := r.drops(); inFlight > drops {
 		out = append(out, fmt.Sprintf(
-			"%d requests still in flight at quiesce but engines only dropped %d", inFlight, drops))
+			"%d requests still unanswered at quiesce but the cluster only counted %d drops", inFlight, drops))
 	}
 	if len(r.sc.Faults) == 0 && inFlight > 0 {
 		out = append(out, fmt.Sprintf(
-			"fault-free run left %d requests unfinished at quiesce", inFlight))
+			"fault-free run left %d requests unanswered at quiesce", inFlight))
 	}
 	return out
 }
 
 // checkQPsPeriodic rejects impossible QP states mid-run.
 func checkQPsPeriodic(r *Rig, now time.Duration) string {
-	for _, nr := range r.nodes {
-		for _, cp := range nr.eng.ConnPools() {
+	for _, node := range r.nodes {
+		for _, cp := range r.c.Engine(node).ConnPools() {
 			for _, qp := range cp.Conns() {
 				if qp.Outstanding() < 0 {
 					return fmt.Sprintf("node %s qp%d: negative outstanding %d",
-						nr.name, qp.ID(), qp.Outstanding())
+						node, qp.ID(), qp.Outstanding())
 				}
 			}
 		}
@@ -249,81 +219,77 @@ func checkQPsPeriodic(r *Rig, now time.Duration) string {
 	return ""
 }
 
-// checkQPsFinal requires full recovery: the keeper must have repaired every
-// errored QP, drained every CQ, and emptied the scheduler by quiesce.
+// checkQPsFinal requires full recovery: the keepers must have repaired
+// every errored QP, drained every CQ, and emptied the scheduler by quiesce.
 func checkQPsFinal(r *Rig) []string {
 	var out []string
-	for _, nr := range r.nodes {
-		for _, cp := range nr.eng.ConnPools() {
+	for _, node := range r.nodes {
+		e := r.c.Engine(node)
+		for _, cp := range e.ConnPools() {
 			if n := cp.ErroredCount(); n > 0 {
-				out = append(out, fmt.Sprintf("node %s: %d QPs still errored at quiesce", nr.name, n))
+				out = append(out, fmt.Sprintf("node %s: %d QPs still errored at quiesce", node, n))
 			}
 			for _, qp := range cp.Conns() {
 				if qp.Outstanding() != 0 {
 					out = append(out, fmt.Sprintf("node %s qp%d: %d WRs outstanding at quiesce",
-						nr.name, qp.ID(), qp.Outstanding()))
+						node, qp.ID(), qp.Outstanding()))
 				}
 			}
 		}
-		if n := nr.eng.CQ().Len(); n > 0 {
-			out = append(out, fmt.Sprintf("node %s: %d CQEs unpolled at quiesce", nr.name, n))
+		if n := e.CQ().Len(); n > 0 {
+			out = append(out, fmt.Sprintf("node %s: %d CQEs unpolled at quiesce", node, n))
 		}
-		if n := nr.eng.SchedPending(); n > 0 {
-			out = append(out, fmt.Sprintf("node %s: %d descriptors stuck in scheduler", nr.name, n))
+		if n := e.SchedPending(); n > 0 {
+			out = append(out, fmt.Sprintf("node %s: %d descriptors stuck in scheduler", node, n))
 		}
-		if nr.gw == nil {
+		gw := r.c.NodeGateway(node)
+		if gw == nil {
 			continue
 		}
-		for _, cp := range nr.gw.Links() {
+		for _, cp := range gw.Links() {
 			if n := cp.ErroredCount(); n > 0 {
-				out = append(out, fmt.Sprintf("gateway %s: %d QPs still errored at quiesce", nr.name, n))
+				out = append(out, fmt.Sprintf("gateway %s: %d QPs still errored at quiesce", node, n))
 			}
 			for _, qp := range cp.Conns() {
 				if qp.Outstanding() != 0 {
 					out = append(out, fmt.Sprintf("gateway %s qp%d: %d WRs outstanding at quiesce",
-						nr.name, qp.ID(), qp.Outstanding()))
+						node, qp.ID(), qp.Outstanding()))
 				}
 			}
 		}
-		if n := nr.gw.CQ().Len(); n > 0 {
-			out = append(out, fmt.Sprintf("gateway %s: %d CQEs unpolled at quiesce", nr.name, n))
+		if n := gw.CQ().Len(); n > 0 {
+			out = append(out, fmt.Sprintf("gateway %s: %d CQEs unpolled at quiesce", node, n))
 		}
 	}
 	return out
 }
 
-// gwSlots is the landing-window share the node's gateway holds from the
-// tenant's pool (zero when the scenario runs without the gateway tier).
-func gwSlots(nr *nodeRig, tenant string) int {
-	if nr.gw == nil {
-		return 0
-	}
-	return nr.gw.SlotsHeld(tenant)
-}
-
 // checkRoutes is the gateway-fabric invariant (route-consistency): the
 // forwarded-message ledger closes, a healed fabric converges back to direct
-// next hops, hop-by-hop walks never loop, and relay landing pools come home.
+// next hops, and hop-by-hop walks never loop. (Landing pools on transit
+// nodes are node pools, so buffer-conservation brings them home.)
 func checkRoutes(r *Rig) []string {
 	if !r.sc.Gateways {
 		return nil
 	}
 	var out []string
+	net := r.c.Net()
 
 	// Conservation: transit re-entries are internal to the tier, so the
 	// descriptors accepted from engines equal deliveries plus drops, with
 	// nothing queued or on the wire at quiesce.
 	var in, delivered, dropped uint64
-	for _, nr := range r.nodes {
-		s := nr.gw.Stats()
+	for _, node := range r.nodes {
+		gw := r.c.NodeGateway(node)
+		s := gw.Stats()
 		in += s.AcceptIn
 		delivered += s.Delivered
 		dropped += s.Dropped
-		if n := nr.gw.Pending(); n > 0 {
-			out = append(out, fmt.Sprintf("gateway %s: %d forwards still queued at quiesce", nr.name, n))
+		if n := gw.Pending(); n > 0 {
+			out = append(out, fmt.Sprintf("gateway %s: %d forwards still queued at quiesce", node, n))
 		}
-		if n := nr.gw.InflightWrites(); n > 0 {
-			out = append(out, fmt.Sprintf("gateway %s: %d writes still in flight at quiesce", nr.name, n))
+		if n := gw.InflightWrites(); n > 0 {
+			out = append(out, fmt.Sprintf("gateway %s: %d writes still in flight at quiesce", node, n))
 		}
 	}
 	if in != delivered+dropped {
@@ -332,15 +298,15 @@ func checkRoutes(r *Rig) []string {
 			in, delivered, dropped))
 	}
 
-	byName := make(map[fabric.NodeID]*nodeRig, len(r.nodes))
+	known := make(map[fabric.NodeID]bool, len(r.nodes))
 	healed := true
 	for i, a := range r.nodes {
-		byName[a.name] = a
-		if r.net.Down(a.name) {
+		known[fabric.NodeID(a)] = true
+		if net.Down(fabric.NodeID(a)) {
 			healed = false
 		}
 		for _, b := range r.nodes[i+1:] {
-			if r.net.LinkDown(a.name, b.name) || r.net.LinkDown(b.name, a.name) {
+			if net.LinkDown(fabric.NodeID(a), fabric.NodeID(b)) || net.LinkDown(fabric.NodeID(b), fabric.NodeID(a)) {
 				healed = false
 			}
 		}
@@ -350,29 +316,30 @@ func checkRoutes(r *Rig) []string {
 	// fabric has healed (all faults expire before the drain ends, and the
 	// keeper refreshes every GwFailoverInterval) it must also be live and
 	// every next hop must be direct again.
-	for _, nr := range r.nodes {
-		for _, fn := range nr.gw.Routes().Functions() {
-			node, ok := nr.gw.Routes().NodeOf(fn)
-			if !ok || byName[node] == nil {
+	for _, name := range r.nodes {
+		routes := r.c.NodeGateway(name).Routes()
+		for _, fn := range routes.Functions() {
+			node, ok := routes.NodeOf(fn)
+			if !ok || !known[node] {
 				out = append(out, fmt.Sprintf("gateway %s: function %s routed to unknown node %q",
-					nr.name, fn, node))
+					name, fn, node))
 				continue
 			}
-			if healed && r.net.Down(node) {
+			if healed && net.Down(node) {
 				out = append(out, fmt.Sprintf("gateway %s: function %s routed to down node %s after heal",
-					nr.name, fn, node))
+					name, fn, node))
 			}
 		}
 		if !healed {
 			continue
 		}
 		for _, peer := range r.nodes {
-			if peer == nr {
+			if peer == name {
 				continue
 			}
-			if hop := nr.gw.Routes().NextHop(peer.name); hop != peer.name {
+			if hop := routes.NextHop(fabric.NodeID(peer)); hop != fabric.NodeID(peer) {
 				out = append(out, fmt.Sprintf(
-					"gateway %s: next hop for %s still detours via %s after heal", nr.name, peer.name, hop))
+					"gateway %s: next hop for %s still detours via %s after heal", name, peer, hop))
 			}
 		}
 	}
@@ -384,39 +351,22 @@ func checkRoutes(r *Rig) []string {
 			if src == dst {
 				continue
 			}
-			cur := src
-			visited := map[fabric.NodeID]bool{src.name: true}
-			for cur.name != dst.name {
-				hop := cur.gw.Routes().NextHop(dst.name)
+			cur := fabric.NodeID(src)
+			visited := map[fabric.NodeID]bool{cur: true}
+			for cur != fabric.NodeID(dst) {
+				hop := r.c.NodeGateway(string(cur)).Routes().NextHop(fabric.NodeID(dst))
 				if visited[hop] {
 					out = append(out, fmt.Sprintf("forwarding loop toward %s: gateway %s bounces back to %s",
-						dst.name, cur.name, hop))
+						dst, cur, hop))
 					break
 				}
-				next := byName[hop]
-				if next == nil {
+				if !known[hop] {
 					out = append(out, fmt.Sprintf("gateway %s: next hop for %s is unknown node %q",
-						cur.name, dst.name, hop))
+						cur, dst, hop))
 					break
 				}
 				visited[hop] = true
-				cur = next
-			}
-		}
-	}
-
-	// Relay landing pools (non-resident nodes) hold exactly the gateway's
-	// window slots at quiesce — a transit leg that never came home is a leak.
-	for _, tr := range r.tenants {
-		for _, rel := range tr.relays {
-			if err := rel.pool.Audit(); err != nil {
-				out = append(out, fmt.Sprintf("tenant %s relay pool on %s: %v", tr.sc.Name, rel.node, err))
-				continue
-			}
-			if held := rel.gw.SlotsHeld(tr.sc.Name); rel.pool.InUse() != held {
-				out = append(out, fmt.Sprintf(
-					"tenant %s relay pool on %s: %d buffers in use but the gateway holds only %d slots (leak of %d)",
-					tr.sc.Name, rel.node, rel.pool.InUse(), held, rel.pool.InUse()-held))
+				cur = hop
 			}
 		}
 	}
@@ -424,76 +374,71 @@ func checkRoutes(r *Rig) []string {
 }
 
 // checkSpecPeriodic enforces the always-true half of the speculation ledger
-// on every speculative tenant: a group wins at most once, arm resolutions
-// never exceed arms fired, and every win the controller records was observed
-// exactly once at the rig's ingress boundary.
+// on the ingress controller: a group wins at most once, arm resolutions
+// never exceed arms fired, and clients never see more answers than the
+// controller recorded winners.
 func checkSpecPeriodic(r *Rig, now time.Duration) string {
-	for _, tr := range r.tenants {
-		if tr.spec == nil {
-			continue
-		}
-		st := tr.spec.Stats()
-		if st.Wins() > st.Launched {
-			return fmt.Sprintf("tenant %s: %d wins for %d launches: %+v",
-				tr.sc.Name, st.Wins(), st.Launched, st)
-		}
-		if st.Cancels+st.Kills+st.Wins() > st.Arms {
-			return fmt.Sprintf("tenant %s: %d resolutions exceed %d arms fired: %+v",
-				tr.sc.Name, st.Cancels+st.Kills+st.Wins(), st.Arms, st)
-		}
-		if tr.specWinsSeen != st.Wins() {
-			return fmt.Sprintf("tenant %s: boundary observed %d winners but controller recorded %d",
-				tr.sc.Name, tr.specWinsSeen, st.Wins())
-		}
+	sp := r.c.Gateway().Spec()
+	if sp == nil {
+		return ""
+	}
+	st := sp.Stats()
+	if st.Wins() > st.Launched {
+		return fmt.Sprintf("%d wins for %d launches: %+v", st.Wins(), st.Launched, st)
+	}
+	if st.Cancels+st.Kills+st.Wins() > st.Arms {
+		return fmt.Sprintf("%d resolutions exceed %d arms fired: %+v", st.Cancels+st.Kills+st.Wins(), st.Arms, st)
+	}
+	if done := r.completed(); done > st.Wins() {
+		return fmt.Sprintf("clients saw %d answers but the controller recorded %d winners", done, st.Wins())
 	}
 	return ""
 }
 
-// checkSpecFinal closes the speculation ledger at quiesce. Exactly-once and
-// hedge-timer hygiene hold unconditionally; the full arm ledger (every arm
-// won, was suppressed at the boundary, was killed mid-plane, or was shed
-// before firing) closes with equality only when no faults or planted defects
-// could strand arms inside the engines — mirroring request-conservation,
-// faulted runs get the <= bound against engine drops instead. Loser buffer
-// return is covered by buffer-conservation, and generation safety by the
-// pool's ownership audit: a cancel that touched a recycled buffer would fire
-// both.
+// checkSpecFinal closes the speculation ledger at quiesce. Every submitted
+// request launched one group, every winner reached its client, and no
+// hedge timer is left armed; the full arm ledger (every arm won, was
+// suppressed at the boundary, or was killed mid-plane) closes with equality
+// only when no faults or planted defects could strand arms inside the
+// plane — mirroring request-conservation, faulted runs get the <= bound.
+// Loser buffer return is covered by buffer-conservation, and generation
+// safety by the pool's ownership audit: a cancel that touched a recycled
+// buffer would fire both.
 func checkSpecFinal(r *Rig) []string {
+	sp := r.c.Gateway().Spec()
+	if sp == nil {
+		return nil
+	}
 	var out []string
-	strict := len(r.sc.Faults) == 0 && r.sc.Defect == ""
+	st := sp.Stats()
+	var issued uint64
 	for _, tr := range r.tenants {
-		if tr.spec == nil {
-			continue
-		}
-		st := tr.spec.Stats()
-		if tr.specWinsSeen != st.Wins() {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: boundary observed %d winners at quiesce but controller recorded %d",
-				tr.sc.Name, tr.specWinsSeen, st.Wins()))
-		}
-		if n := tr.spec.PendingHedges(); n != 0 {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: %d hedge timers still armed at quiesce", tr.sc.Name, n))
-		}
-		resolved := st.Wins() + st.Cancels + st.Kills + tr.specUnfired
-		if resolved > st.Arms {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: %d arm resolutions exceed %d arms fired: %+v",
-				tr.sc.Name, resolved, st.Arms, st))
-		}
-		if !strict {
-			continue
-		}
-		if st.Launched != tr.specWinsSeen+tr.specNoArm {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: fault-free run launched %d groups but saw %d winners + %d no-arm launches",
-				tr.sc.Name, st.Launched, tr.specWinsSeen, tr.specNoArm))
-		}
-		if resolved != st.Arms {
-			out = append(out, fmt.Sprintf(
-				"tenant %s: fault-free run fired %d arms but resolved only %d (wins=%d cancels=%d kills=%d unfired=%d)",
-				tr.sc.Name, st.Arms, resolved, st.Wins(), st.Cancels, st.Kills, tr.specUnfired))
-		}
+		issued += tr.issued
+	}
+	if st.Launched != issued {
+		out = append(out, fmt.Sprintf("%d requests submitted but the ingress launched %d groups", issued, st.Launched))
+	}
+	if done := r.completed(); done != st.Wins() {
+		out = append(out, fmt.Sprintf("clients saw %d answers at quiesce but the controller recorded %d winners",
+			done, st.Wins()))
+	}
+	if n := sp.PendingHedges(); n != 0 {
+		out = append(out, fmt.Sprintf("%d hedge timers still armed at quiesce", n))
+	}
+	resolved := st.Wins() + st.Cancels + st.Kills
+	if resolved > st.Arms {
+		out = append(out, fmt.Sprintf("%d arm resolutions exceed %d arms fired: %+v", resolved, st.Arms, st))
+	}
+	if len(r.sc.Faults) > 0 || r.sc.Defect != "" {
+		return out
+	}
+	if st.Launched != st.Wins() {
+		out = append(out, fmt.Sprintf("fault-free run launched %d groups but only %d won", st.Launched, st.Wins()))
+	}
+	if resolved != st.Arms {
+		out = append(out, fmt.Sprintf(
+			"fault-free run fired %d arms but resolved only %d (wins=%d cancels=%d kills=%d)",
+			st.Arms, resolved, st.Wins(), st.Cancels, st.Kills))
 	}
 	return out
 }
@@ -501,14 +446,12 @@ func checkSpecFinal(r *Rig) []string {
 // checkSRQPeriodic bounds the receive rings: the keeper may never post past
 // its per-tenant target.
 func checkSRQPeriodic(r *Rig, now time.Duration) string {
-	for _, nr := range r.nodes {
+	for _, node := range r.nodes {
+		e := r.c.Engine(node)
 		for _, tr := range r.tenants {
-			if tr.sc.CliNode != nodeIndex(r, nr) && tr.sc.SrvNode != nodeIndex(r, nr) {
-				continue
-			}
-			if p := nr.eng.SRQ(tr.sc.Name).Posted(); p > nr.rqInit {
+			if p := e.SRQ(tr.sc.Name).Posted(); p > e.InitialRQ() {
 				return fmt.Sprintf("node %s tenant %s: %d posted > ring target %d",
-					nr.name, tr.sc.Name, p, nr.rqInit)
+					node, tr.sc.Name, p, e.InitialRQ())
 			}
 		}
 	}
@@ -518,28 +461,16 @@ func checkSRQPeriodic(r *Rig, now time.Duration) string {
 // checkSRQFinal requires the keeper to have fully replenished every ring.
 func checkSRQFinal(r *Rig) []string {
 	var out []string
-	for _, nr := range r.nodes {
+	for _, node := range r.nodes {
+		e := r.c.Engine(node)
 		for _, tr := range r.tenants {
-			if tr.sc.CliNode != nodeIndex(r, nr) && tr.sc.SrvNode != nodeIndex(r, nr) {
-				continue
-			}
-			if p := nr.eng.SRQ(tr.sc.Name).Posted(); p != nr.rqInit {
+			if p := e.SRQ(tr.sc.Name).Posted(); p != e.InitialRQ() {
 				out = append(out, fmt.Sprintf("node %s tenant %s: ring at %d/%d after drain",
-					nr.name, tr.sc.Name, p, nr.rqInit))
+					node, tr.sc.Name, p, e.InitialRQ()))
 			}
 		}
 	}
 	return out
-}
-
-// nodeIndex maps a nodeRig back to its scenario index.
-func nodeIndex(r *Rig, nr *nodeRig) int {
-	for i, n := range r.nodes {
-		if n == nr {
-			return i
-		}
-	}
-	return -1
 }
 
 // fairnessFloor is the minimum share of the per-tenant mean any symmetric
@@ -552,10 +483,10 @@ const fairnessFloor = 0.55
 const fairnessMinTotal = 300
 
 // checkFairness bounds goodput skew for fairness-eligible scenarios:
-// identical closed-loop tenants under DWRR with no faults must split the
-// window's completions near-evenly.
+// identical closed-loop tenants under the engines' DWRR with no faults
+// must split the window's completions near-evenly.
 func checkFairness(r *Rig) []string {
-	if !r.sc.Symmetric() || r.sc.Sched != dne.SchedDWRR || len(r.sc.Faults) > 0 || r.sc.Defect != "" {
+	if !r.sc.Symmetric() || len(r.sc.Faults) > 0 || r.sc.Defect != "" {
 		return nil
 	}
 	var total uint64
@@ -588,14 +519,6 @@ func checkFairness(r *Rig) []string {
 // completion-rate series integrates back to at most the ledger's count.
 func checkTelemetry(r *Rig) []string {
 	var out []string
-	maxPool := 0
-	var completedTotal uint64
-	for _, tr := range r.tenants {
-		if tr.sc.PoolBufs > maxPool {
-			maxPool = tr.sc.PoolBufs
-		}
-		completedTotal += tr.completed
-	}
 	var rateSum float64
 	for _, s := range r.scraper.Series() {
 		last := time.Duration(0)
@@ -618,9 +541,9 @@ func checkTelemetry(r *Rig) []string {
 				}
 				rateSum += pt.V * r.scraper.Period().Seconds()
 			case strings.HasPrefix(s.Name, "fuzz.pool_in_use"):
-				if pt.V < 0 || pt.V > float64(maxPool) {
+				if pt.V < 0 || pt.V > float64(r.sc.PoolBuffers) {
 					out = append(out, fmt.Sprintf("series %s: gauge %g outside [0,%d] at %v",
-						s.Name, pt.V, maxPool, pt.T))
+						s.Name, pt.V, r.sc.PoolBuffers, pt.T))
 				}
 			case strings.HasPrefix(s.Name, "fuzz.worker_busy"):
 				if pt.V < 0 || pt.V > 1+1e-9 {
@@ -630,36 +553,43 @@ func checkTelemetry(r *Rig) []string {
 			}
 		}
 	}
-	if rateSum > float64(completedTotal)+0.5 {
+	if completed := r.completed(); rateSum > float64(completed)+0.5 {
 		out = append(out, fmt.Sprintf(
 			"completion-rate series integrate to %.1f but ledger completed only %d",
-			rateSum, completedTotal))
+			rateSum, completed))
 	}
 	return out
 }
 
-// checkTraces reconciles the tracer with the request ledger: every finished
-// request was completed, every unfinished one is still on the in-flight
-// ledger, and nothing was dropped (the rig runs unlimited).
+// checkTraces reconciles the cluster's tracer with the request ledger:
+// every finished request trace was answered, every unfinished one is still
+// unanswered, and nothing was dropped (the tracer runs unlimited).
 func checkTraces(r *Rig) []string {
 	rep := r.tracer.Report()
-	var completed uint64
-	var inFlight int
+	var inFlight uint64
 	for _, tr := range r.tenants {
-		completed += tr.completed
 		inFlight += tr.inFlight()
 	}
 	var out []string
-	if uint64(rep.Requests) != completed {
+	if completed := r.completed(); uint64(rep.Requests) != completed {
 		out = append(out, fmt.Sprintf("tracer finished %d requests but ledger completed %d",
 			rep.Requests, completed))
 	}
-	if rep.Unfinished != inFlight {
-		out = append(out, fmt.Sprintf("tracer has %d unfinished requests but ledger has %d in flight",
+	if uint64(rep.Unfinished) != inFlight {
+		out = append(out, fmt.Sprintf("tracer has %d unfinished requests but ledger has %d unanswered",
 			rep.Unfinished, inFlight))
 	}
 	if rep.Dropped != 0 {
 		out = append(out, fmt.Sprintf("tracer dropped %d requests with no limit set", rep.Dropped))
 	}
 	return out
+}
+
+// completed sums answered requests over every tenant.
+func (r *Rig) completed() uint64 {
+	var n uint64
+	for _, tr := range r.tenants {
+		n += tr.completed
+	}
+	return n
 }

@@ -6,88 +6,25 @@ import (
 	"time"
 
 	"nadino/internal/chaos"
-	"nadino/internal/dne"
-	"nadino/internal/dpu"
+	"nadino/internal/core"
 	"nadino/internal/fabric"
 	"nadino/internal/flightrec"
-	"nadino/internal/gateway"
+	"nadino/internal/ingress"
 	"nadino/internal/mempool"
-	"nadino/internal/params"
-	"nadino/internal/rdma"
 	"nadino/internal/sim"
-	"nadino/internal/speculate"
 	"nadino/internal/telemetry"
 	"nadino/internal/trace"
 	"nadino/internal/workload"
 )
 
-// nodeNames map scenario node indices onto the repository's conventional
-// fabric IDs.
-var nodeNames = []fabric.NodeID{"nodeA", "nodeB", "nodeC"}
-
-// nodeRig is one worker node: a DPU (cores, SoC DMA, RNIC) plus its DNE and
-// (when the scenario enables the tier) its gateway.
-type nodeRig struct {
-	name   fabric.NodeID
-	dpu    *dpu.DPU
-	eng    *dne.Engine
-	gw     *gateway.Gateway
-	rqInit int // receive-ring target the keeper pre-posts per tenant
-}
-
-// gwRelay is a landing pool created for a gateway on a node where the
-// tenant is not resident, so transit legs can land there during failover
-// detours. The route-consistency invariant checks its quiesce accounting.
-type gwRelay struct {
-	node fabric.NodeID
-	gw   *gateway.Gateway
-	pool *mempool.Pool
-}
-
-// waiter is one in-flight arm's ledger entry: the queue its winner delivery
-// unblocks (nil for open-loop arms nobody waits on) plus, for speculated
-// arms, the group and arm index the demux resolves at the boundary.
-type waiter struct {
-	q   *sim.Queue[mempool.Descriptor]
-	g   *speculate.Group
-	arm int
-}
-
-// hedgeFire relays a hedge arm from its timer context to the tenant's pump
-// proc, which owns the proc context FnPort.Send needs.
-type hedgeFire struct {
-	g   *speculate.Group
-	arm int
-	q   *sim.Queue[mempool.Descriptor]
-}
-
-// tenantRig is one tenant's runtime state: pools on its two nodes, function
-// ports, and the request-conservation ledger.
+// tenantRig is one tenant's load driver state and request ledger.
 type tenantRig struct {
-	sc               TenantScenario
-	cliPool, srvPool *mempool.Pool
-	cliPort, srvPort *dne.FnPort
-	cliCore          *sim.Processor
-	relays           []gwRelay
+	sc      TenantScenario
+	cliNode string
 
-	// Speculation state (Scenario.CloneN/HedgeAfter): the per-tenant
-	// controller, the hedge relay queue, and the arm-resolution counters
-	// the speculation-safety invariant closes its ledger with.
-	spec         *speculate.Spec
-	hedgeQ       *sim.Queue[hedgeFire]
-	specWinsSeen uint64 // winner deliveries observed at the boundary
-	specLosers   uint64 // loser completions suppressed at the boundary
-	specKills    uint64 // arms killed mid-plane via the cancellation probe
-	specUnfired  uint64 // hedge arms counted by the controller but shed by the pump
-	specNoArm    uint64 // launches where every arm shed (pool exhausted)
-
-	// Ledger: issued counts arms handed to the engine, completed counts
-	// arms that terminated (winner deliveries, suppressed losers, and
-	// mid-plane kills), shed counts sends skipped on pool exhaustion.
-	// waiters holds the in-flight arms by sequence number.
-	issued, completed, shed uint64
-	waiters                 map[uint64]waiter
-	seq                     uint64
+	// Ledger: issued counts requests submitted to the ingress, completed
+	// counts requests answered; dupReplies counts answers past the first.
+	issued, completed, dupReplies uint64
 
 	// windowCompleted is the completion count inside the measured load
 	// window (captured for the fairness invariant).
@@ -97,27 +34,20 @@ type tenantRig struct {
 	compCounter *telemetry.Counter
 }
 
-// inFlight reports requests issued but not yet completed.
-func (tr *tenantRig) inFlight() int { return len(tr.waiters) }
+// inFlight reports requests submitted but not yet answered.
+func (tr *tenantRig) inFlight() uint64 { return tr.issued - tr.completed }
 
-// coreRef names a processor for the busy-time invariant.
-type coreRef struct {
-	label string
-	proc  *sim.Processor
-}
-
-// Rig is one built scenario world. It owns every component the invariant
-// registry inspects.
+// Rig is one scenario's world: the core.Cluster its Config assembles, the
+// chaos schedule and load drivers around it, and the harness-side ledger
+// the invariant registry reads next to the cluster's own state.
 type Rig struct {
-	sc  Scenario
-	eng *sim.Engine
-	p   *params.Params
-	net *fabric.Network
+	sc    Scenario
+	c     *core.Cluster
+	eng   *sim.Engine
+	nodes []string
 
-	nodes   []*nodeRig
 	tenants []*tenantRig
 	inj     *chaos.Injector
-	ready   *sim.Queue[struct{}]
 
 	tracer  *trace.Tracer
 	reg     *telemetry.Registry
@@ -128,16 +58,13 @@ type Rig struct {
 	rec      *flightrec.Recorder
 	invActor uint16
 
-	cores []coreRef
+	cores []*sim.Processor
 
 	warm, loadEnd, endAt time.Duration
 
 	// Ownership-auditor results (Transfers > 0).
 	auditOps  int
 	auditErrs []string
-
-	// Planted-defect bookkeeping.
-	leaked int
 
 	// Invariant checker state.
 	lastNow    time.Duration
@@ -149,194 +76,72 @@ type Rig struct {
 // scrapePeriod samples telemetry often enough for ~100 points per run.
 const scrapePeriod = 2 * time.Millisecond
 
-// gwWindow is the landing-slot window per (gateway, tenant). Small enough
-// that tenant pools (>= 128 spare buffers by construction) never starve the
-// data plane, big enough to exercise the credit protocol under load.
-const gwWindow = 8
-
-// NewRig builds the scenario's world on a fresh engine. Nothing runs until
-// Run (or a caller-driven RunUntil) advances the clock.
+// NewRig builds the scenario's cluster and drivers on a fresh engine.
+// Nothing runs until Run (or a caller-driven RunUntil) advances the clock.
 func NewRig(sc Scenario) *Rig {
-	p := params.Default()
-	if sc.ExtraPerMsg > 0 {
-		p.DNEExtraPerMsg = sc.ExtraPerMsg
-	}
-	eng := sim.NewEngine(sc.Seed)
+	cfg := sc.Config()
+	cfg.Tracer = trace.New(nil)
+	cfg.Tracer.SetLimit(0)
+	c := core.NewCluster(cfg)
 	r := &Rig{
 		sc:      sc,
-		eng:     eng,
-		p:       p,
-		net:     fabric.New(eng, p),
-		ready:   sim.NewQueue[struct{}](eng, 0),
-		tracer:  trace.New(eng.Now),
+		c:       c,
+		eng:     c.Eng,
+		nodes:   c.NodeNames(),
+		tracer:  cfg.Tracer,
 		reg:     telemetry.NewRegistry(),
+		rec:     flightrec.New(4096, c.Eng.Now),
+		cores:   c.Processors(),
 		tripped: make(map[string]bool),
 	}
-	r.tracer.SetLimit(0)
-	r.rec = flightrec.New(4096, eng.Now)
 	r.invActor = r.rec.Actor("invariant")
-	r.warm = p.QPSetupTime + 2*time.Millisecond
+	r.warm = c.P.QPSetupTime + 2*time.Millisecond
 	r.loadEnd = r.warm + sc.Load
 	r.endAt = r.loadEnd + sc.Drain
 
-	// Nodes: the engine's receive ring is the smallest ring any resident
-	// tenant asked for, so no tenant pool is undersized for its ring.
-	for i := 0; i < sc.Nodes; i++ {
-		rqInit := 0
-		for _, ts := range sc.Tenants {
-			if ts.CliNode == i || ts.SrvNode == i {
-				if rqInit == 0 || ts.InitialRQ < rqInit {
-					rqInit = ts.InitialRQ
-				}
-			}
-		}
-		if rqInit == 0 {
-			rqInit = 64 // node hosts no tenant; keep the engine well-formed
-		}
-		name := nodeNames[i]
-		d := dpu.New(eng, p, name, r.net, 2)
-		cfg := dne.Config{Node: name, Mode: sc.Mode, Sched: sc.Sched,
-			Channel: dpu.ComchE, InitialRQ: rqInit}
-		nr := &nodeRig{name: name, dpu: d, eng: dne.New(eng, p, cfg, d, nil, nil), rqInit: rqInit}
-		nr.eng.SetFlightRecorder(r.rec)
-		if sc.Gateways {
-			nr.gw = gateway.New(eng, p, name, r.net, d.RNIC(), gwWindow)
-			nr.gw.SetEgress(nr.eng)
-			nr.eng.SetForwarder(nr.gw, nr.gw.Owner())
-			nr.gw.SetFlightRecorder(r.rec)
-		}
-		r.nodes = append(r.nodes, nr)
-		r.cores = append(r.cores,
-			coreRef{string(name) + "/dne-worker", nr.eng.WorkerCore()},
-			coreRef{string(name) + "/dne-keeper", nr.eng.KeeperCore()})
-		if nr.gw != nil {
-			r.cores = append(r.cores, coreRef{string(name) + "/gw", nr.gw.Core()})
-		}
-		for ci, c := range d.Cores() {
-			r.cores = append(r.cores, coreRef{fmt.Sprintf("%s/dpu-core%d", name, ci), c})
-		}
-	}
-
-	// Tenants: pool + SRQ on both resident nodes, routes, function ports.
 	for _, ts := range sc.Tenants {
-		ts := ts
-		cli, srv := r.nodes[ts.CliNode], r.nodes[ts.SrvNode]
-		tr := &tenantRig{
-			sc:      ts,
-			cliPool: mempool.NewPool(ts.Name, ts.BufSize, ts.PoolBufs, p.HugepageSize),
-			srvPool: mempool.NewPool(ts.Name, ts.BufSize, ts.PoolBufs, p.HugepageSize),
-			waiters: make(map[uint64]waiter),
-		}
-		if sc.Speculative() {
-			tr.spec = speculate.New(eng, speculate.Policy{
-				CloneN:   sc.CloneN,
-				Hedge:    sc.HedgeAfter > 0,
-				HedgeMin: sc.HedgeAfter,
-			})
-			tr.hedgeQ = sim.NewQueue[hedgeFire](eng, 0)
-		}
-		cli.eng.AddTenant(ts.Name, tr.cliPool, ts.Weight)
-		srv.eng.AddTenant(ts.Name, tr.srvPool, ts.Weight)
-		cli.eng.SetRoute("srv-"+ts.Name, srv.name)
-		srv.eng.SetRoute("cli-"+ts.Name, cli.name)
-		if sc.Gateways {
-			// Every gateway hosts the tenant's landing window (non-resident
-			// nodes get a dedicated relay pool, so failover detours can land
-			// transit legs) and learns both placements: relays resolve the
-			// final owner from their own table.
-			for i, nr := range r.nodes {
-				var pool *mempool.Pool
-				switch i {
-				case ts.CliNode:
-					pool = tr.cliPool
-				case ts.SrvNode:
-					pool = tr.srvPool
-				default:
-					pool = mempool.NewPool(ts.Name, ts.BufSize, gwWindow+8, p.HugepageSize)
-					tr.relays = append(tr.relays, gwRelay{node: nr.name, gw: nr.gw, pool: pool})
-				}
-				nr.gw.AddTenant(ts.Name, pool)
-				nr.gw.Routes().Set("srv-"+ts.Name, srv.name)
-				nr.gw.Routes().Set("cli-"+ts.Name, cli.name)
-			}
-		}
-		tr.cliPort = cli.eng.AttachFunction("cli-"+ts.Name, ts.Name)
-		tr.srvPort = srv.eng.AttachFunction("srv-"+ts.Name, ts.Name)
+		tr := &tenantRig{sc: ts, cliNode: r.nodes[ts.CliNode]}
 		tr.compCounter = r.reg.Counter("fuzz.completed", "tenant", ts.Name)
-		r.reg.Gauge("fuzz.pool_in_use",
-			func() float64 { return float64(tr.cliPool.InUse()) },
-			"tenant", ts.Name, "node", string(cli.name))
+		pool := c.Pool(tr.cliNode, ts.Name)
+		r.reg.Gauge("fuzz.pool_in_use", func() float64 { return float64(pool.InUse()) },
+			"tenant", ts.Name, "node", tr.cliNode)
 		r.tenants = append(r.tenants, tr)
 	}
-	for _, nr := range r.nodes {
-		nr := nr
-		r.reg.Rate("fuzz.worker_busy",
-			func() float64 { return nr.eng.WorkerCore().BusyTime().Seconds() },
-			"node", string(nr.name))
+	for _, node := range r.nodes {
+		worker := c.Engine(node).WorkerCore()
+		r.reg.Rate("fuzz.worker_busy", func() float64 { return worker.BusyTime().Seconds() }, "node", node)
 	}
-
-	// Connection pools are established concurrently per tenant (one pooled
-	// QPSetupTime handshake each); engines start once every pool is in.
-	eng.Spawn("simtest-setup", func(pr *sim.Proc) {
-		done := sim.NewQueue[struct{}](eng, 0)
-		for _, tr := range r.tenants {
-			tr := tr
-			eng.Spawn("simtest-setup-"+tr.sc.Name, func(spr *sim.Proc) {
-				cli, srv := r.nodes[tr.sc.CliNode], r.nodes[tr.sc.SrvNode]
-				cpC, cpS := rdma.EstablishPair(spr, p, tr.sc.Name,
-					cli.dpu.RNIC(), srv.dpu.RNIC(), sc.QPs,
-					cli.eng.SRQ(tr.sc.Name), srv.eng.SRQ(tr.sc.Name),
-					cli.eng.CQ(), srv.eng.CQ())
-				cli.eng.AddConnPool(srv.name, tr.sc.Name, cpC)
-				srv.eng.AddConnPool(cli.name, tr.sc.Name, cpS)
-				cpC.SetFlightRecorder(r.rec, "qp:"+tr.sc.Name+"@"+string(cli.name))
-				cpS.SetFlightRecorder(r.rec, "qp:"+tr.sc.Name+"@"+string(srv.name))
-				done.TryPut(struct{}{})
-			})
-		}
-		gwPairs := 0
-		if sc.Gateways {
-			for i := range r.nodes {
-				for j := i + 1; j < len(r.nodes); j++ {
-					a, b := r.nodes[i], r.nodes[j]
-					gwPairs++
-					eng.Spawn("simtest-setup-gw", func(spr *sim.Proc) {
-						gateway.Connect(spr, a.gw, b.gw, 2)
-						done.TryPut(struct{}{})
-					})
-				}
-			}
-		}
-		for i := 0; i < len(r.tenants)+gwPairs; i++ {
-			done.Get(pr)
-		}
-		for _, nr := range r.nodes {
-			nr.eng.Start()
-			if nr.gw != nil {
-				nr.gw.Start()
-				for _, cp := range nr.gw.Links() {
-					cp.SetFlightRecorder(r.rec, "gw-qp:"+cp.Tenant+"@"+string(nr.name))
-				}
-			}
-		}
-		r.ready.TryPut(struct{}{})
+	// Connection pools exist only once setup is done; the recorder then
+	// covers their QP errors and repairs too.
+	r.eng.Spawn("simtest-recorder", func(pr *sim.Proc) {
+		c.WaitReady(pr)
+		c.AttachFlightRecorder(r.rec)
 	})
 
-	r.inj = r.buildInjector()
+	r.inj = c.NewChaos(sc.Seed)
+	r.inj.SetFlightRecorder(r.rec)
 	r.installFaults()
 	r.spawnWorkloads()
 	if sc.Transfers > 0 {
 		r.spawnAuditor()
 	}
-	r.scraper = r.reg.Scrape(eng, scrapePeriod)
+	if sc.Defect == DefectLeakBuffer {
+		tr := r.tenants[0]
+		r.eng.At(r.warm, func() {
+			if _, err := c.Pool(tr.cliNode, tr.sc.Name).Get("leak"); err != nil {
+				panic(err)
+			}
+		})
+	}
+	r.scraper = r.reg.Scrape(r.eng, scrapePeriod)
 
 	// Fairness window bounds.
-	eng.At(r.warm, func() {
+	r.eng.At(r.warm, func() {
 		for _, tr := range r.tenants {
 			tr.windowBase = tr.completed
 		}
 	})
-	eng.At(r.loadEnd, func() {
+	r.eng.At(r.loadEnd, func() {
 		for _, tr := range r.tenants {
 			tr.windowCompleted = tr.completed - tr.windowBase
 		}
@@ -344,75 +149,18 @@ func NewRig(sc Scenario) *Rig {
 	return r
 }
 
-// buildInjector registers the standard chaos targets: per node the SoC DMA
-// ("dma@<node>"), the DPU cores ("cores@<node>"), the node's own conn pools
-// ("qp@<node>") and the crash set ("crash@<node>": the node's pools plus
-// every peer pool pointing at it — a rebooted node loses all QP state on
-// both ends).
-func (r *Rig) buildInjector() *chaos.Injector {
-	in := chaos.NewInjector(r.eng, r.net, r.sc.Seed)
-	in.SetFlightRecorder(r.rec)
-	for _, nr := range r.nodes {
-		nr := nr
-		in.RegisterStaller("dma@"+string(nr.name), nr.dpu.SoCDMA())
-		in.RegisterCores("cores@"+string(nr.name), nr.dpu.Cores()...)
-		in.RegisterQPs("qp@"+string(nr.name), func() []chaos.QPErrorTarget {
-			var ts []chaos.QPErrorTarget
-			for _, cp := range nr.eng.ConnPools() {
-				ts = append(ts, cp)
-			}
-			if nr.gw != nil {
-				for _, cp := range nr.gw.Links() {
-					ts = append(ts, cp)
-				}
-			}
-			return ts
-		})
-		in.RegisterQPs("crash@"+string(nr.name), func() []chaos.QPErrorTarget {
-			var ts []chaos.QPErrorTarget
-			for _, cp := range nr.eng.ConnPools() {
-				ts = append(ts, cp)
-			}
-			if nr.gw != nil {
-				for _, cp := range nr.gw.Links() {
-					ts = append(ts, cp)
-				}
-			}
-			for _, other := range r.nodes {
-				if other == nr {
-					continue
-				}
-				for _, tr := range r.tenants {
-					if cp := other.eng.ConnPool(nr.name, tr.sc.Name); cp != nil {
-						ts = append(ts, cp)
-					}
-				}
-				if other.gw != nil {
-					if cp := other.gw.Link(nr.name); cp != nil {
-						ts = append(ts, cp)
-					}
-				}
-			}
-			return ts
-		})
-		if nr.gw != nil {
-			in.RegisterCores("gw-cores@"+string(nr.name), nr.gw.Core())
-		}
-	}
-	return in
-}
-
-// installFaults maps the scenario's FaultSpecs onto chaos events. Spec
-// times are relative to the start of the load window.
+// installFaults maps the scenario's FaultSpecs onto chaos events over the
+// cluster's standard targets. Spec times are relative to the start of the
+// load window.
 func (r *Rig) installFaults() {
 	var sched chaos.Schedule
-	nodeIDs := make([]fabric.NodeID, r.sc.Nodes)
-	for i := range nodeIDs {
-		nodeIDs[i] = nodeNames[i]
+	nodeIDs := make([]fabric.NodeID, len(r.nodes))
+	for i, n := range r.nodes {
+		nodeIDs[i] = fabric.NodeID(n)
 	}
 	for _, f := range r.sc.Faults {
 		at := r.warm + f.At
-		node := nodeNames[f.Node%r.sc.Nodes]
+		node := nodeIDs[f.Node%len(nodeIDs)]
 		switch f.Kind {
 		case FaultLinkStorm:
 			// Outages are capped well inside the transport-retry horizon
@@ -421,6 +169,10 @@ func (r *Rig) installFaults() {
 		case FaultQPError:
 			sched = append(sched, chaos.Event{At: at,
 				Fault: chaos.QPError{Target: "qp@" + string(node), Count: f.Count}})
+			if r.sc.Gateways {
+				sched = append(sched, chaos.Event{At: at,
+					Fault: chaos.QPError{Target: "gw-qp@" + string(node), Count: f.Count}})
+			}
 		case FaultNodeCrash:
 			sched = append(sched, chaos.Event{At: at, For: f.For,
 				Fault: chaos.NodeCrash{Node: node, QPs: "crash@" + string(node)}})
@@ -446,41 +198,29 @@ func (r *Rig) installFaults() {
 	r.inj.Install(sched)
 }
 
-// waitReady parks pr until QP establishment completes.
-func (r *Rig) waitReady(pr *sim.Proc) {
-	r.ready.Get(pr)
-	r.ready.TryPut(struct{}{})
+// submit sends one request of tr's chain through the ingress; done, when
+// set, runs on its first answer. Answers past the first are counted.
+func (r *Rig) submit(tr *tenantRig, client int, done func()) {
+	tr.issued++
+	answered := false
+	r.c.SubmitChain(tr.sc.Name, client, func(ingress.Response) {
+		if answered {
+			tr.dupReplies++
+			return
+		}
+		answered = true
+		tr.completed++
+		tr.compCounter.Add(1)
+		if done != nil {
+			done()
+		}
+	})
 }
 
-// takeLeak consumes the planted leak-buffer defect: the first caller that
-// would recycle a completed response keeps it instead.
-func (r *Rig) takeLeak() bool {
-	if r.sc.Defect == DefectLeakBuffer && r.leaked == 0 {
-		r.leaked++
-		return true
-	}
-	return false
-}
-
-// serveCore builds a serve-side processor honoring the scenario's serving
-// discipline (PSServe runs the tenant cores processor-sharing).
-func (r *Rig) serveCore(name string) *sim.Processor {
-	disc := sim.FCFS
-	if r.sc.PSServe {
-		disc = sim.PS
-	}
-	return sim.NewProcessorDisc(r.eng, name, r.p.HostCoreSpeed, disc)
-}
-
-// spawnWorkloads starts the echo server and the tenant's driver (closed
-// loop, open loop or Poisson trace).
+// spawnWorkloads starts each tenant's driver: closed loop, open loop or
+// Poisson trace.
 func (r *Rig) spawnWorkloads() {
 	for _, tr := range r.tenants {
-		r.spawnServer(tr)
-		r.spawnDemux(tr)
-		if tr.spec != nil {
-			r.spawnHedgePump(tr)
-		}
 		switch tr.sc.Load {
 		case LoadClosed:
 			r.spawnClosedClients(tr)
@@ -494,251 +234,41 @@ func (r *Rig) spawnWorkloads() {
 	}
 }
 
-// spawnServer answers every request with a same-size reply, backpressuring
-// on pool exhaustion exactly like the benchmark rigs.
-func (r *Rig) spawnServer(tr *tenantRig) {
-	core := r.serveCore("srv-core-" + tr.sc.Name)
-	r.cores = append(r.cores, coreRef{"srv-core-" + tr.sc.Name, core})
-	srv := mempool.Owner("srv-" + tr.sc.Name)
-	r.eng.Spawn("srv-"+tr.sc.Name, func(pr *sim.Proc) {
-		for {
-			d := tr.srvPort.Recv(pr, core)
-			if d.Spec != nil && d.Spec() {
-				// Losing clone killed at the serve boundary: recycle the
-				// landed request buffer, never burn serve time on it.
-				if err := tr.srvPool.Put(d.Buf, srv); err != nil {
-					panic(err)
-				}
-				continue
-			}
-			reply, err := tr.srvPool.Get(srv)
-			for err != nil {
-				pr.Sleep(20 * time.Microsecond)
-				reply, err = tr.srvPool.Get(srv)
-			}
-			if err := tr.srvPool.Put(d.Buf, srv); err != nil {
-				panic(err)
-			}
-			out := mempool.Descriptor{
-				Tenant: tr.sc.Name, Buf: reply, Len: d.Len,
-				Src: "srv-" + tr.sc.Name, Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp,
-				Trace: d.Trace,
-				// The probe rides the response leg too, so a loser's reply
-				// dies at the serve-side TX gate instead of crossing back.
-				Spec: d.Spec,
-			}
-			if err := tr.srvPort.Send(pr, core, out); err != nil {
-				panic(err)
-			}
-		}
-	})
-}
-
-// spawnDemux routes responses back to waiters. Open-loop requests (nil
-// waiter queue) are counted complete and recycled here; deliveries with no
-// ledger entry are at-least-once duplicates and recycled. Speculated arms
-// resolve here at the boundary: the first completion wins its group, every
-// later one is a suppressed loser whose buffer is recycled in place.
-func (r *Rig) spawnDemux(tr *tenantRig) {
-	core := r.serveCore("cli-core-" + tr.sc.Name)
-	r.cores = append(r.cores, coreRef{"cli-core-" + tr.sc.Name, core})
-	tr.cliCore = core
-	cli := mempool.Owner("cli-" + tr.sc.Name)
-	r.eng.Spawn("cli-demux-"+tr.sc.Name, func(pr *sim.Proc) {
-		for {
-			d := tr.cliPort.Recv(pr, core)
-			w, ok := tr.waiters[d.Seq]
-			if !ok {
-				// Duplicate delivery from the retry path: recycle or leak.
-				if err := tr.cliPool.Put(d.Buf, cli); err != nil {
-					panic(err)
-				}
-				continue
-			}
-			delete(tr.waiters, d.Seq)
-			if w.g != nil {
-				if !w.g.Finish(w.arm) {
-					// Loser reached the boundary: suppress, close its arm's
-					// ledger entry, recycle its buffer.
-					tr.specLosers++
-					tr.completed++
-					tr.compCounter.Add(1)
-					d.Trace.Finish()
-					if err := tr.cliPool.Put(d.Buf, cli); err != nil {
-						panic(err)
-					}
-					continue
-				}
-				tr.specWinsSeen++
-			}
-			if w.q == nil {
-				// Open-loop completion.
-				tr.completed++
-				tr.compCounter.Add(1)
-				d.Trace.Finish()
-				if !r.takeLeak() {
-					if err := tr.cliPool.Put(d.Buf, cli); err != nil {
-						panic(err)
-					}
-				}
-				continue
-			}
-			w.q.TryPut(d)
-		}
-	})
-}
-
-// fireArm issues one arm of a request for tr (proc context); g is nil for
-// unspeculated requests. Returns false when the tenant pool is exhausted
-// (the caller sheds or retries).
-func (r *Rig) fireArm(tr *tenantRig, pr *sim.Proc, q *sim.Queue[mempool.Descriptor], g *speculate.Group, arm int) bool {
-	cli := mempool.Owner("cli-" + tr.sc.Name)
-	buf, err := tr.cliPool.Get(cli)
-	if err != nil {
-		if errors.Is(err, mempool.ErrExhausted) {
-			tr.shed++
-			return false
-		}
-		panic(err)
-	}
-	tr.seq++
-	id := tr.seq
-	tr.waiters[id] = waiter{q: q, g: g, arm: arm}
-	tr.issued++
-	req := r.tracer.StartRequest("echo/" + tr.sc.Name)
-	d := mempool.Descriptor{
-		Tenant: tr.sc.Name, Buf: buf, Len: tr.sc.Payload,
-		Src: "cli-" + tr.sc.Name, Dst: "srv-" + tr.sc.Name, Seq: id, Stamp: pr.Now(),
-		Trace: req,
-	}
-	if g != nil {
-		d.Spec = r.armProbe(tr, g, id, req)
-	}
-	if err := tr.cliPort.Send(pr, tr.cliCore, d); err != nil {
-		panic(err)
-	}
-	return true
-}
-
-// armProbe wraps the group's cancellation probe (mempool.Descriptor.Spec)
-// with the rig's ledger: the first true verdict closes the arm's in-flight
-// entry — the carrier at the kill site (DNE TX gate, serve boundary)
-// returns the buffer itself; retry duplicates of an already-dead arm get
-// the kill verdict without double-accounting, and the mempool's generation
-// fence makes their buffer release a no-op.
-func (r *Rig) armProbe(tr *tenantRig, g *speculate.Group, id uint64, req *trace.Req) func() bool {
-	dead := false
-	return func() bool {
-		if !g.Won() {
-			return false
-		}
-		if !dead {
-			dead = true
-			g.Killed()
-			delete(tr.waiters, id)
-			tr.completed++
-			tr.compCounter.Add(1)
-			tr.specKills++
-			req.Finish()
-		}
-		return true
-	}
-}
-
-// launchReq fires one speculated request through the tenant's controller:
-// launch-time arms fire synchronously in the caller's proc context, the
-// hedge arm (firing later, in timer context) relays through the tenant's
-// hedge pump.
-func (r *Rig) launchReq(tr *tenantRig, pr *sim.Proc, q *sim.Queue[mempool.Descriptor]) *speculate.Group {
-	sync := true
-	g := tr.spec.Launch(tr.sc.Name, 0, 0, func(g *speculate.Group, arm int) bool {
-		if sync {
-			return r.fireArm(tr, pr, q, g, arm)
-		}
-		// Counted optimistically; the pump sheds on pool exhaustion and
-		// accounts the unfired arm (specUnfired) for the safety invariant.
-		tr.hedgeQ.TryPut(hedgeFire{g: g, arm: arm, q: q})
-		return true
-	})
-	sync = false
-	return g
-}
-
-// spawnHedgePump drains the tenant's hedge relay: each entry is a hedge arm
-// fired from its timer context, sent here from a proc that can pay the
-// port-send cost.
-func (r *Rig) spawnHedgePump(tr *tenantRig) {
-	r.eng.Spawn("hedge-pump-"+tr.sc.Name, func(pr *sim.Proc) {
-		for {
-			hf := tr.hedgeQ.Get(pr)
-			if !r.fireArm(tr, pr, hf.q, hf.g, hf.arm) {
-				tr.specUnfired++
-			}
-		}
-	})
-}
-
-// issueReq fires one logical request: unspeculated tenants send a single
-// arm, speculative tenants launch a clone group. Returns false when nothing
-// went out (pool exhausted on every arm).
-func (r *Rig) issueReq(tr *tenantRig, pr *sim.Proc, q *sim.Queue[mempool.Descriptor]) bool {
-	if tr.spec == nil {
-		return r.fireArm(tr, pr, q, nil, 0)
-	}
-	g := r.launchReq(tr, pr, q)
-	if g.Arms() == 0 {
-		tr.specNoArm++
-		return false
-	}
-	return true
-}
-
-// spawnClosedClients runs the tenant's closed-loop echo clients.
+// spawnClosedClients runs the tenant's closed-loop clients: each submits
+// and waits for the answer before the next request.
 func (r *Rig) spawnClosedClients(tr *tenantRig) {
-	cli := mempool.Owner("cli-" + tr.sc.Name)
 	for i := 0; i < tr.sc.Clients; i++ {
+		client := i
 		r.eng.Spawn(fmt.Sprintf("cli-%s-%d", tr.sc.Name, i), func(pr *sim.Proc) {
-			r.waitReady(pr)
-			respQ := sim.NewQueue[mempool.Descriptor](r.eng, 0)
+			r.c.WaitReady(pr)
+			answered := sim.NewQueue[struct{}](r.eng, 0)
 			for pr.Now() < r.loadEnd {
 				// Think-time jitter decorrelates the lockstep clients.
 				pr.Sleep(time.Duration(r.eng.Rand().Intn(3000)) * time.Nanosecond)
-				if !r.issueReq(tr, pr, respQ) {
-					pr.Sleep(50 * time.Microsecond)
-					continue
-				}
-				resp := respQ.Get(pr)
-				resp.Trace.Finish()
-				tr.completed++
-				tr.compCounter.Add(1)
-				if r.takeLeak() {
-					continue
-				}
-				if err := tr.cliPool.Put(resp.Buf, cli); err != nil {
-					panic(err)
-				}
+				r.submit(tr, client, func() { answered.TryPut(struct{}{}) })
+				answered.Get(pr)
 			}
 		})
 	}
 }
 
-// spawnOpenLoop issues one request every Every until the load window ends.
+// spawnOpenLoop submits one request every Every until the load window
+// ends, never waiting for answers.
 func (r *Rig) spawnOpenLoop(tr *tenantRig) {
 	r.eng.Spawn("open-"+tr.sc.Name, func(pr *sim.Proc) {
-		r.waitReady(pr)
-		for pr.Now() < r.loadEnd {
+		r.c.WaitReady(pr)
+		for {
 			pr.Sleep(tr.sc.Every)
 			if pr.Now() >= r.loadEnd {
-				break
+				return
 			}
-			r.issueReq(tr, pr, nil)
+			r.submit(tr, 0, nil)
 		}
 	})
 }
 
-// spawnPoisson drives the tenant from a workload.TraceGen arrival process
-// (Poisson with a mild diurnal swing) through a relay queue, since the
-// generator's submit hook runs in the generator's own process.
+// spawnPoisson submits on a workload.TraceGen arrival process (Poisson with
+// a mild diurnal swing) while the cluster is up and the window is open.
 func (r *Rig) spawnPoisson(tr *tenantRig) {
 	gen := &workload.TraceGen{
 		Chains:           []string{tr.sc.Name},
@@ -748,26 +278,21 @@ func (r *Rig) spawnPoisson(tr *tenantRig) {
 		Period:           r.sc.Load,
 	}
 	_, hook := gen.Start(r.eng)
-	arrivals := sim.NewQueue[struct{}](r.eng, 0)
-	hook(func(string) { arrivals.TryPut(struct{}{}) })
-	r.eng.Spawn("poisson-"+tr.sc.Name, func(pr *sim.Proc) {
-		r.waitReady(pr)
-		for {
-			arrivals.Get(pr)
-			if pr.Now() >= r.loadEnd {
-				continue // generator never stops; discard post-window arrivals
-			}
-			r.issueReq(tr, pr, nil)
+	hook(func(string) {
+		if r.c.Ready() && r.eng.Now() < r.loadEnd {
+			r.submit(tr, 0, nil)
 		}
 	})
 }
 
-// spawnAuditor interleaves cross-tenant ownership transfers with the load:
-// each chain moves a buffer from the first tenant's client actor to a
-// foreign tenant's actor and back, checking every access rule along the
-// way. Unexpected outcomes are recorded as ownership-audit findings.
+// spawnAuditor interleaves cross-tenant ownership transfers with the load
+// on the first tenant's entry-node pool: each chain moves a buffer from an
+// auditor actor to a foreign tenant's actor and back, checking every access
+// rule along the way. Unexpected outcomes are recorded as ownership-audit
+// findings.
 func (r *Rig) spawnAuditor() {
 	tr := r.tenants[0]
+	pool := r.c.Pool(tr.cliNode, tr.sc.Name)
 	ownerA := mempool.Owner("aud-" + tr.sc.Name)
 	foreign := "ghost"
 	if len(r.tenants) > 1 {
@@ -780,32 +305,48 @@ func (r *Rig) spawnAuditor() {
 		}
 	}
 	r.eng.Spawn("auditor", func(pr *sim.Proc) {
-		r.waitReady(pr)
+		r.c.WaitReady(pr)
 		for i := 0; i < r.sc.Transfers && pr.Now() < r.loadEnd; i++ {
 			pr.Sleep(time.Duration(50+r.eng.Rand().Intn(200)) * time.Microsecond)
-			b, err := tr.cliPool.Get(ownerA)
+			b, err := pool.Get(ownerA)
 			if err != nil {
 				continue // pool squeezed by the data plane; not a finding
 			}
-			if err := tr.cliPool.Transfer(b, ownerA, ownerB); err != nil {
+			if err := pool.Transfer(b, ownerA, ownerB); err != nil {
 				fail("transfer %v->%v: %v", ownerA, ownerB, err)
 			}
-			if err := tr.cliPool.Access(b, ownerB); err != nil {
+			if err := pool.Access(b, ownerB); err != nil {
 				fail("new owner denied access: %v", err)
 			}
-			if err := tr.cliPool.Access(b, ownerA); !errors.Is(err, mempool.ErrNotOwner) {
+			if err := pool.Access(b, ownerA); !errors.Is(err, mempool.ErrNotOwner) {
 				fail("stale owner retained access: err=%v", err)
 			}
-			if err := tr.cliPool.Transfer(b, ownerB, ownerA); err != nil {
+			if err := pool.Transfer(b, ownerB, ownerA); err != nil {
 				fail("transfer back: %v", err)
 			}
-			if err := tr.cliPool.Put(b, ownerA); err != nil {
+			if err := pool.Put(b, ownerA); err != nil {
 				fail("put: %v", err)
 			}
-			if err := tr.cliPool.Access(b, ownerA); !errors.Is(err, mempool.ErrStaleBuffer) {
+			if err := pool.Access(b, ownerA); !errors.Is(err, mempool.ErrStaleBuffer) {
 				fail("use after free not detected: err=%v", err)
 			}
 			r.auditOps++
 		}
 	})
+}
+
+// drops sums every counter that accounts a request as given up: DNE no-route,
+// no-port and retry-budget drops, gateway drops, ingress backend drops and
+// ingress overload sheds.
+func (r *Rig) drops() uint64 {
+	n := r.c.IngressDrops() + r.c.Gateway().Dropped()
+	for _, node := range r.nodes {
+		_, _, noRoute, noPort, _ := r.c.Engine(node).Stats()
+		_, retryDropped := r.c.Engine(node).RetryStats()
+		n += noRoute + noPort + retryDropped
+		if gw := r.c.NodeGateway(node); gw != nil {
+			n += gw.Stats().Dropped
+		}
+	}
+	return n
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nadino/internal/flightrec"
+	"nadino/internal/speculate"
 )
 
 // checkPeriod is the periodic-invariant tick: fine enough to interleave
@@ -20,20 +21,17 @@ const checkPeriod = 500 * time.Microsecond
 type Result struct {
 	Scenario Scenario
 
-	Issued, Completed, Shed uint64
-	InFlight                int
-	Drops                   uint64 // engine- and gateway-side losses (route/port/retry budget)
-	Retried                 uint64
-	Forwarded               uint64 // gateway writes posted (gateway scenarios only)
-	FaultsApplied           int
-	FaultsReverted          int
-	AuditOps                int
+	Issued, Completed, InFlight uint64
+	Drops                       uint64 // requests given up by a counted drop (see Rig.drops)
+	Retried                     uint64
+	Forwarded                   uint64 // gateway writes posted (gateway scenarios only)
+	FaultsApplied               int
+	FaultsReverted              int
+	AuditOps                    int
 
-	// Speculation ledger totals, summed across speculative tenants (all
-	// zero when the scenario runs without cloning or hedging).
-	SpecLaunched, SpecArms uint64
-	SpecWins, SpecCancels  uint64
-	SpecKills, SpecUnfired uint64
+	// The ingress speculation controller's counters (all zero when the
+	// scenario runs without cloning or hedging).
+	Spec speculate.Stats
 
 	Violations []Violation
 
@@ -107,27 +105,17 @@ func Run(sc Scenario) *Result {
 		for _, tr := range r.tenants {
 			res.Issued += tr.issued
 			res.Completed += tr.completed
-			res.Shed += tr.shed
 			res.InFlight += tr.inFlight()
-			if tr.spec != nil {
-				st := tr.spec.Stats()
-				res.SpecLaunched += st.Launched
-				res.SpecArms += st.Arms
-				res.SpecWins += st.Wins()
-				res.SpecCancels += st.Cancels
-				res.SpecKills += st.Kills
-				res.SpecUnfired += tr.specUnfired
-			}
 		}
-		for _, nr := range r.nodes {
-			_, _, noRoute, noPort, _ := nr.eng.Stats()
-			retried, dropped := nr.eng.RetryStats()
-			res.Drops += noRoute + noPort + dropped
+		if sp := r.c.Gateway().Spec(); sp != nil {
+			res.Spec = sp.Stats()
+		}
+		res.Drops = r.drops()
+		for _, node := range r.nodes {
+			retried, _ := r.c.Engine(node).RetryStats()
 			res.Retried += retried
-			if nr.gw != nil {
-				s := nr.gw.Stats()
-				res.Drops += s.Dropped
-				res.Forwarded += s.Forwarded
+			if gw := r.c.NodeGateway(node); gw != nil {
+				res.Forwarded += gw.Stats().Forwarded
 			}
 		}
 		res.FaultsApplied = r.inj.Applied()
@@ -159,16 +147,15 @@ func Run(sc Scenario) *Result {
 func (res *Result) render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario: %s\n", res.Scenario)
-	fmt.Fprintf(&b, "issued=%d completed=%d shed=%d in_flight=%d drops=%d retried=%d\n",
-		res.Issued, res.Completed, res.Shed, res.InFlight, res.Drops, res.Retried)
+	fmt.Fprintf(&b, "issued=%d completed=%d in_flight=%d drops=%d retried=%d\n",
+		res.Issued, res.Completed, res.InFlight, res.Drops, res.Retried)
 	if res.Scenario.Gateways {
 		fmt.Fprintf(&b, "gateway forwarded=%d\n", res.Forwarded)
 	}
-	// Emitted only for speculative scenarios so every historical seed's
-	// report — and fingerprint — stays byte-identical.
 	if res.Scenario.Speculative() {
-		fmt.Fprintf(&b, "spec launched=%d arms=%d wins=%d cancels=%d kills=%d unfired=%d\n",
-			res.SpecLaunched, res.SpecArms, res.SpecWins, res.SpecCancels, res.SpecKills, res.SpecUnfired)
+		st := res.Spec
+		fmt.Fprintf(&b, "spec launched=%d arms=%d clones=%d hedges=%d wins=%d cancels=%d kills=%d\n",
+			st.Launched, st.Arms, st.Clones, st.Hedges, st.Wins(), st.Cancels, st.Kills)
 	}
 	fmt.Fprintf(&b, "faults applied=%d reverted=%d audit_ops=%d\n",
 		res.FaultsApplied, res.FaultsReverted, res.AuditOps)

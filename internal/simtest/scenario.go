@@ -1,11 +1,13 @@
 // Package simtest is the repository's deterministic-simulation fuzzer, in
 // the FoundationDB tradition: a seeded scenario generator composes random
-// topologies, tenant mixes, workloads and chaos schedules; a global
-// invariant registry checks system-wide properties (buffer conservation,
-// request conservation, QP legality, fairness, clock monotonicity,
-// telemetry/trace consistency) at event boundaries and at end of run; and a
-// shrinker reduces failing scenarios to minimal counterexamples by
-// bisecting the fault schedule and the workload duration.
+// topologies, tenant mixes, workloads and chaos schedules; each scenario
+// maps onto a core.Config and runs on core.Cluster — the assembly users
+// run, ingress speculation included; a global invariant registry checks
+// system-wide properties (buffer conservation, request conservation, QP
+// legality, fairness, clock monotonicity, telemetry/trace consistency) at
+// event boundaries and at end of run; and a shrinker reduces failing
+// scenarios to minimal counterexamples by bisecting the fault schedule and
+// the workload duration.
 //
 // Everything is a pure function of the scenario seed: a failing seed
 // reported by the sweep (`nadino-bench -run fuzz`) reproduces
@@ -18,7 +20,8 @@ import (
 	"strings"
 	"time"
 
-	"nadino/internal/dne"
+	"nadino/internal/core"
+	"nadino/internal/speculate"
 )
 
 // genSalt decorrelates the generator's RNG from the engine and chaos RNGs
@@ -27,24 +30,24 @@ const genSalt int64 = 0x73696d74657374 // "simtest"
 
 // Workload kinds for one tenant.
 const (
-	// LoadClosed drives N closed-loop echo clients (each waits for its
-	// response before issuing the next request).
+	// LoadClosed drives N closed-loop clients (each waits for its answer
+	// before submitting the next request).
 	LoadClosed = "closed"
-	// LoadOpen issues one request every Every, never waiting.
+	// LoadOpen submits one request every Every, never waiting.
 	LoadOpen = "open"
-	// LoadPoisson draws Poisson arrivals at TraceRPS via workload.TraceGen.
+	// LoadPoisson draws Poisson arrivals at RPS via workload.TraceGen.
 	LoadPoisson = "poisson"
 )
 
-// TenantScenario is one tenant's slice of a generated scenario.
+// TenantScenario is one tenant's slice of a generated scenario: a
+// cli-<Name> entry function on CliNode that calls srv-<Name> on SrvNode,
+// driven through the ingress as chain <Name>.
 type TenantScenario struct {
 	Name   string
 	Weight int
-	// CliNode hosts the tenant's client function, SrvNode its echo server.
+	// CliNode hosts the tenant's entry function, SrvNode the function it
+	// calls.
 	CliNode, SrvNode int
-	// PoolBufs/BufSize size the tenant's per-node buffer pool; InitialRQ
-	// is the engine's pre-posted receive ring.
-	PoolBufs, BufSize, InitialRQ int
 
 	Load    string        // LoadClosed, LoadOpen or LoadPoisson
 	Clients int           // closed-loop client count (LoadClosed)
@@ -92,20 +95,16 @@ func (f FaultSpec) String() string {
 // Scenario is one fully-specified fuzz case: everything the runner needs to
 // rebuild the same world, derived from Seed by Generate. The fields are
 // plain values so the shrinker can perturb them and tests can construct
-// scenarios directly.
+// scenarios directly; Config maps them onto a core.Config.
 type Scenario struct {
-	Seed  int64
-	Nodes int // worker nodes (2 or 3), one DNE each
+	Seed   int64
+	Nodes  int         // worker nodes (2 or 3)
+	System core.System // core.NadinoDNE or core.NadinoCNE
 
-	Mode  dne.Mode
-	Sched dne.SchedulerKind
-	// QPs is the RC connection-pool size per tenant link.
-	QPs int
-	// ExtraPerMsg caps engine throughput (params.DNEExtraPerMsg); 0 leaves
-	// the calibrated default.
-	ExtraPerMsg time.Duration
+	// PoolBuffers and BufSize dimension every tenant pool (core.Config).
+	PoolBuffers, BufSize int
 
-	// Load is the driven window after warmup; Drain keeps the engines
+	// Load is the driven window after warmup; Drain keeps the cluster
 	// alive afterwards so retries, repairs and buffers come home before
 	// the final invariant pass.
 	Load  time.Duration
@@ -118,34 +117,62 @@ type Scenario struct {
 	// cross-tenant mempool.Transfer chains with the data-plane load.
 	Transfers int
 
-	// Defect plants a deliberate bug in the harness's test doubles so the
-	// invariant registry has something to catch (tests and demos):
-	// "leak-buffer" makes one client keep a response buffer forever.
+	// Defect plants a deliberate bug on the harness side so the invariant
+	// registry has something to catch (tests and demos): "leak-buffer"
+	// takes one buffer from a cluster pool and never returns it.
 	Defect string
 
-	// Gateways routes cross-node hops through a per-node gateway tier
-	// (internal/gateway) instead of the engines' direct per-tenant QPs,
-	// putting route-table failover and the landing-window credit protocol
-	// under the invariant registry (route-consistency).
+	// Gateways routes cross-node hops through the per-node gateway tier
+	// (internal/gateway), putting route-table failover and the
+	// landing-window credit protocol under the invariant registry
+	// (route-consistency).
 	Gateways bool
 
-	// CloneN > 1 fires that many arms per request through a per-tenant
-	// speculation controller (internal/speculate): first completion wins,
-	// losers are killed mid-plane via the descriptor cancellation probe or
-	// suppressed at the client boundary (speculation-safety invariant).
-	CloneN int
-	// HedgeAfter > 0 arms a hedged retry per request with that deadline
-	// floor (the rolling P95 takes over once the window warms).
-	HedgeAfter time.Duration
-	// PSServe runs the tenants' serve and demux cores processor-sharing
-	// instead of FCFS (sim.PS), putting the PS quantum re-arm path under
-	// the fuzzer.
-	PSServe bool
+	// Speculate is the ingress speculation policy: clone-to-N and hedged
+	// retries, cancelled mid-plane or suppressed at the ingress boundary
+	// (speculation-safety invariant).
+	Speculate speculate.Policy
+	// PSCores runs every function core processor-sharing instead of FCFS
+	// (sim.PS), putting the PS quantum re-arm path under the fuzzer.
+	PSCores bool
 }
 
 // Speculative reports whether the scenario fires more than one arm per
 // request (cloning or hedging).
-func (sc Scenario) Speculative() bool { return sc.CloneN > 1 || sc.HedgeAfter > 0 }
+func (sc Scenario) Speculative() bool { return sc.Speculate.Enabled() }
+
+// nodeName names scenario node i in the cluster.
+func nodeName(i int) string { return fmt.Sprintf("node%c", 'A'+i) }
+
+// Config maps the scenario onto the cluster it runs on.
+func (sc Scenario) Config() core.Config {
+	cfg := core.Config{
+		System:      sc.System,
+		Tenant:      sc.Tenants[0].Name,
+		PoolBuffers: sc.PoolBuffers,
+		BufSize:     sc.BufSize,
+		Gateways:    sc.Gateways,
+		Speculate:   sc.Speculate,
+		PSCores:     sc.PSCores,
+		Seed:        sc.Seed,
+	}
+	for i := 0; i < sc.Nodes; i++ {
+		cfg.Nodes = append(cfg.Nodes, nodeName(i))
+	}
+	for _, t := range sc.Tenants {
+		cli, srv := "cli-"+t.Name, "srv-"+t.Name
+		cfg.Tenants = append(cfg.Tenants, core.TenantSpec{Name: t.Name, Weight: t.Weight})
+		cfg.Functions = append(cfg.Functions,
+			core.FunctionSpec{Name: cli, Tenant: t.Name, Node: cfg.Nodes[t.CliNode]},
+			core.FunctionSpec{Name: srv, Tenant: t.Name, Node: cfg.Nodes[t.SrvNode]})
+		cfg.Chains = append(cfg.Chains, core.ChainSpec{
+			Name: t.Name, Tenant: t.Name, Entry: cli,
+			ReqBytes: t.Payload, RespBytes: t.Payload,
+			Calls: []core.Call{{Callee: srv, ReqBytes: t.Payload, RespBytes: t.Payload}},
+		})
+	}
+	return cfg
+}
 
 // DefectLeakBuffer is the planted harness bug used to prove the fuzzer
 // catches (and shrinks) invariant violations.
@@ -154,31 +181,27 @@ const DefectLeakBuffer = "leak-buffer"
 // tenantNames label generated tenants.
 var tenantNames = []string{"amber", "basil", "coral"}
 
+// poolQPs is the RC connection count core.Cluster establishes per tenant
+// link; a qp-error fault errors up to that many (0 = all).
+const poolQPs = 8
+
 // Generate derives a scenario from seed. Same seed, same scenario — the
 // whole fuzz contract hangs on this being a pure function.
 func Generate(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed ^ genSalt))
 	sc := Scenario{
-		Seed:  seed,
-		Nodes: 2 + rng.Intn(2),
-		Mode:  dne.OffPath,
-		QPs:   2 + rng.Intn(7),
-		Load:  8*time.Millisecond + time.Duration(rng.Intn(22))*time.Millisecond,
-		Drain: 200 * time.Millisecond,
+		Seed:   seed,
+		Nodes:  2 + rng.Intn(2),
+		System: core.NadinoDNE,
+		// Above the ingress ring's need, with room for every plausible
+		// in-flight buffer on top of the receive rings.
+		PoolBuffers: core.MinPoolBuffers + 128 + rng.Intn(1024),
+		BufSize:     4096 << rng.Intn(2),
+		Load:        8*time.Millisecond + time.Duration(rng.Intn(22))*time.Millisecond,
+		Drain:       200 * time.Millisecond,
 	}
 	if rng.Intn(4) == 0 {
-		sc.Mode = dne.OnPath
-	}
-	switch rng.Intn(3) {
-	case 0:
-		sc.Sched = dne.SchedDWRR
-	case 1:
-		sc.Sched = dne.SchedFCFS
-	default:
-		sc.Sched = dne.SchedPriority
-	}
-	if rng.Intn(2) == 0 {
-		sc.ExtraPerMsg = time.Duration(1+rng.Intn(8)) * time.Microsecond
+		sc.System = core.NadinoCNE
 	}
 
 	// Symmetric scenarios share one node pair with identical tenants —
@@ -193,15 +216,13 @@ func Generate(seed int64) Scenario {
 	clients := 4 + rng.Intn(13)
 	for i := 0; i < nTenants; i++ {
 		ts := TenantScenario{
-			Name:      tenantNames[i],
-			Weight:    weight,
-			CliNode:   0,
-			SrvNode:   1,
-			BufSize:   8192,
-			InitialRQ: 64 + rng.Intn(129),
-			Load:      LoadClosed,
-			Clients:   clients,
-			Payload:   payload,
+			Name:    tenantNames[i],
+			Weight:  weight,
+			CliNode: 0,
+			SrvNode: 1,
+			Load:    LoadClosed,
+			Clients: clients,
+			Payload: payload,
 		}
 		if !symmetric {
 			ts.Weight = 1 + rng.Intn(4)
@@ -221,12 +242,6 @@ func Generate(seed int64) Scenario {
 				ts.Clients = 1 + rng.Intn(16)
 			}
 		}
-		if ts.Payload > ts.BufSize {
-			ts.BufSize = ts.Payload
-		}
-		// Size the pool so the receive ring plus every plausible in-flight
-		// buffer fits with headroom; open-loop senders shed on exhaustion.
-		ts.PoolBufs = ts.InitialRQ + 4*ts.Clients + 128 + rng.Intn(128)
 		sc.Tenants = append(sc.Tenants, ts)
 	}
 
@@ -247,7 +262,7 @@ func Generate(seed int64) Scenario {
 				f.For = 2*time.Millisecond + time.Duration(rng.Intn(4))*time.Millisecond
 			case 1:
 				f.Kind = FaultQPError
-				f.Count = rng.Intn(sc.QPs + 1) // 0 = all
+				f.Count = rng.Intn(poolQPs + 1) // 0 = all
 			case 2:
 				f.Kind = FaultNodeCrash
 				f.For = time.Duration(500+rng.Intn(4500)) * time.Microsecond
@@ -268,18 +283,15 @@ func Generate(seed int64) Scenario {
 	if rng.Intn(2) == 0 {
 		sc.Transfers = 8 + rng.Intn(56)
 	}
-	// Drawn last so earlier draws (and thus the non-gateway shape of every
-	// historical seed) stay stable.
 	sc.Gateways = rng.Intn(2) == 0
-	// Speculation and serving-discipline bits: drawn after everything else,
-	// again so every historical seed keeps its earlier draws.
 	if rng.Intn(3) == 0 {
-		sc.CloneN = 2 + rng.Intn(2)
+		sc.Speculate.CloneN = 2 + rng.Intn(2)
 	}
 	if rng.Intn(3) == 0 {
-		sc.HedgeAfter = time.Duration(150+rng.Intn(600)) * time.Microsecond
+		sc.Speculate.Hedge = true
+		sc.Speculate.HedgeMin = time.Duration(150+rng.Intn(600)) * time.Microsecond
 	}
-	sc.PSServe = rng.Intn(4) == 0
+	sc.PSCores = rng.Intn(4) == 0
 	return sc
 }
 
@@ -300,34 +312,11 @@ func (sc Scenario) Symmetric() bool {
 	return true
 }
 
-// schedName renders the scheduler kind.
-func schedName(k dne.SchedulerKind) string {
-	switch k {
-	case dne.SchedDWRR:
-		return "dwrr"
-	case dne.SchedPriority:
-		return "prio"
-	default:
-		return "fcfs"
-	}
-}
-
-// modeName renders the engine mode.
-func modeName(m dne.Mode) string {
-	if m == dne.OnPath {
-		return "on-path"
-	}
-	return "off-path"
-}
-
 // String renders a compact, deterministic description used in fuzz reports.
 func (sc Scenario) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d nodes=%d %s/%s qps=%d load=%v", sc.Seed, sc.Nodes,
-		modeName(sc.Mode), schedName(sc.Sched), sc.QPs, sc.Load)
-	if sc.ExtraPerMsg > 0 {
-		fmt.Fprintf(&b, " extra=%v", sc.ExtraPerMsg)
-	}
+	fmt.Fprintf(&b, "seed=%d nodes=%d %v pool=%dx%dB load=%v", sc.Seed, sc.Nodes,
+		sc.System, sc.PoolBuffers, sc.BufSize, sc.Load)
 	for _, t := range sc.Tenants {
 		fmt.Fprintf(&b, " %s[n%d>n%d w%d %s", t.Name, t.CliNode, t.SrvNode, t.Weight, t.Load)
 		switch t.Load {
@@ -352,13 +341,13 @@ func (sc Scenario) String() string {
 	if sc.Gateways {
 		b.WriteString(" gw")
 	}
-	if sc.CloneN > 1 {
-		fmt.Fprintf(&b, " clone=%d", sc.CloneN)
+	if sc.Speculate.CloneN > 1 {
+		fmt.Fprintf(&b, " clone=%d", sc.Speculate.CloneN)
 	}
-	if sc.HedgeAfter > 0 {
-		fmt.Fprintf(&b, " hedge=%v", sc.HedgeAfter)
+	if sc.Speculate.Hedge {
+		fmt.Fprintf(&b, " hedge=%v", sc.Speculate.HedgeMin)
 	}
-	if sc.PSServe {
+	if sc.PSCores {
 		b.WriteString(" ps")
 	}
 	return b.String()

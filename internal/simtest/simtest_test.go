@@ -6,7 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"nadino/internal/dne"
+	"nadino/internal/core"
+	"nadino/internal/speculate"
 )
 
 // TestGenerateDeterministic pins the generator as a pure function of seed.
@@ -23,25 +24,25 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 // TestGenerateShape sanity-checks generated scenarios: indices in range,
-// pools big enough for their rings, loads fully specified.
+// configs the cluster accepts, loads fully specified.
 func TestGenerateShape(t *testing.T) {
 	for seed := int64(0); seed < 500; seed++ {
 		sc := Generate(seed)
-		if sc.Nodes < 2 || sc.Nodes > len(nodeNames) {
+		if sc.Nodes < 2 || sc.Nodes > 3 {
 			t.Fatalf("seed %d: %d nodes", seed, sc.Nodes)
 		}
 		if len(sc.Tenants) == 0 {
 			t.Fatalf("seed %d: no tenants", seed)
 		}
+		if err := sc.Config().Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		for _, ts := range sc.Tenants {
 			if ts.CliNode >= sc.Nodes || ts.SrvNode >= sc.Nodes || ts.CliNode == ts.SrvNode {
 				t.Fatalf("seed %d tenant %s: nodes %d->%d of %d", seed, ts.Name, ts.CliNode, ts.SrvNode, sc.Nodes)
 			}
-			if ts.PoolBufs < ts.InitialRQ {
-				t.Fatalf("seed %d tenant %s: pool %d < ring %d", seed, ts.Name, ts.PoolBufs, ts.InitialRQ)
-			}
-			if ts.Payload > ts.BufSize {
-				t.Fatalf("seed %d tenant %s: payload %d > buf %d", seed, ts.Name, ts.Payload, ts.BufSize)
+			if ts.Payload > sc.BufSize {
+				t.Fatalf("seed %d tenant %s: payload %d > buf %d", seed, ts.Name, ts.Payload, sc.BufSize)
 			}
 			switch ts.Load {
 			case LoadClosed:
@@ -110,12 +111,16 @@ func TestSweepClean(t *testing.T) {
 // speculation-safety checker (exactly-once at the boundary, losers
 // returning buffers and in-flight state, generation-fenced cancels) sees
 // real clone traffic on every seed — including seeds whose own draws add
-// faults, gateways, PS serving, or retry storms on top.
+// faults, gateways, PS cores, or retry storms on top. Summed over the
+// sweep, the ingress controller must have fired clones and hedges and
+// resolved losers both ways (boundary cancels and mid-plane kills): the
+// production speculation path is the one being fuzzed.
 func TestSpeculationSweepClean(t *testing.T) {
 	n := int64(50)
 	if testing.Short() {
 		n = 8
 	}
+	var sum speculate.Stats
 	for seed := int64(0); seed < n; seed++ {
 		sc := Generate(seed)
 		if !sc.Speculative() {
@@ -123,21 +128,30 @@ func TestSpeculationSweepClean(t *testing.T) {
 			// flavor so the sweep covers clone-only, hedge-only, and both.
 			switch seed % 3 {
 			case 0:
-				sc.CloneN = 2 + int(seed%2)
+				sc.Speculate.CloneN = 2 + int(seed%2)
 			case 1:
-				sc.HedgeAfter = time.Duration(150*(1+seed%3)) * time.Microsecond
+				sc.Speculate.Hedge = true
+				sc.Speculate.HedgeMin = time.Duration(150*(1+seed%3)) * time.Microsecond
 			default:
-				sc.CloneN = 2
-				sc.HedgeAfter = 300 * time.Microsecond
+				sc.Speculate.CloneN = 2
+				sc.Speculate.Hedge = true
+				sc.Speculate.HedgeMin = 300 * time.Microsecond
 			}
 		}
 		res := Run(sc)
 		if res.Failed() {
 			t.Errorf("seed %d (%s) failed:\n%s\n%s", seed, sc, res.Report, res.FlightDump)
 		}
-		if res.SpecLaunched == 0 {
+		if res.Spec.Launched == 0 {
 			t.Errorf("seed %d (%s): speculative scenario launched no groups", seed, sc)
 		}
+		sum.Clones += res.Spec.Clones
+		sum.Hedges += res.Spec.Hedges
+		sum.Cancels += res.Spec.Cancels
+		sum.Kills += res.Spec.Kills
+	}
+	if sum.Clones == 0 || sum.Hedges == 0 || sum.Cancels == 0 || sum.Kills == 0 {
+		t.Errorf("ingress speculation path not exercised: %+v", sum)
 	}
 }
 
@@ -146,16 +160,14 @@ func TestSpeculationSweepClean(t *testing.T) {
 // byte-identical rerun.
 func TestSpeculationDeterministic(t *testing.T) {
 	sc := Scenario{
-		Seed: 77, Nodes: 2, Mode: dne.OffPath, Sched: dne.SchedDWRR,
-		QPs: 2, Load: 8 * time.Millisecond, Drain: 200 * time.Millisecond,
-		CloneN: 3, HedgeAfter: 250 * time.Microsecond, PSServe: true,
+		Seed: 77, Nodes: 2, System: core.NadinoDNE,
+		PoolBuffers: core.MinPoolBuffers + 256, BufSize: 4096,
+		Load: 8 * time.Millisecond, Drain: 200 * time.Millisecond,
+		Speculate: speculate.Policy{CloneN: 3, Hedge: true, HedgeMin: 250 * time.Microsecond},
+		PSCores:   true,
 		Tenants: []TenantScenario{
-			{Name: "amber", Weight: 1, CliNode: 0, SrvNode: 1,
-				PoolBufs: 300, BufSize: 4096, InitialRQ: 64,
-				Load: LoadClosed, Clients: 6, Payload: 512},
-			{Name: "basil", Weight: 1, CliNode: 0, SrvNode: 1,
-				PoolBufs: 300, BufSize: 4096, InitialRQ: 64,
-				Load: LoadClosed, Clients: 6, Payload: 512},
+			{Name: "amber", Weight: 1, CliNode: 0, SrvNode: 1, Load: LoadClosed, Clients: 6, Payload: 512},
+			{Name: "basil", Weight: 1, CliNode: 0, SrvNode: 1, Load: LoadClosed, Clients: 6, Payload: 512},
 		},
 		Faults: []FaultSpec{{Kind: FaultSlowCores, At: 2 * time.Millisecond,
 			For: 2 * time.Millisecond, Node: 1, Factor: 0.4}},
@@ -164,9 +176,8 @@ func TestSpeculationDeterministic(t *testing.T) {
 	if res.Failed() {
 		t.Fatalf("speculative scenario failed:\n%s\n%s", res.Report, res.FlightDump)
 	}
-	if res.SpecWins == 0 || res.SpecCancels+res.SpecKills == 0 {
-		t.Fatalf("speculation never exercised (wins=%d cancels=%d kills=%d):\n%s",
-			res.SpecWins, res.SpecCancels, res.SpecKills, res.Report)
+	if res.Spec.Wins() == 0 || res.Spec.Cancels+res.Spec.Kills == 0 {
+		t.Fatalf("speculation never exercised (%+v):\n%s", res.Spec, res.Report)
 	}
 	again := Run(sc)
 	if again.Report != res.Report || again.Fingerprint != res.Fingerprint {
@@ -182,12 +193,12 @@ func TestSpeculationDeterministic(t *testing.T) {
 // route-consistency — byte-identically across reruns.
 func TestGatewayScenarioForwards(t *testing.T) {
 	sc := Scenario{
-		Seed: 42, Nodes: 3, Mode: dne.OffPath, Sched: dne.SchedFCFS,
-		QPs: 2, Load: 10 * time.Millisecond, Drain: 200 * time.Millisecond,
+		Seed: 42, Nodes: 3, System: core.NadinoDNE,
+		PoolBuffers: core.MinPoolBuffers + 256, BufSize: 8192,
+		Load: 10 * time.Millisecond, Drain: 200 * time.Millisecond,
 		Gateways: true,
 		Tenants: []TenantScenario{{
 			Name: "amber", Weight: 1, CliNode: 0, SrvNode: 2,
-			PoolBufs: 300, BufSize: 8192, InitialRQ: 64,
 			Load: LoadClosed, Clients: 8, Payload: 1024,
 		}},
 		Faults: []FaultSpec{{Kind: FaultPartition, At: 2 * time.Millisecond,
@@ -210,8 +221,8 @@ func TestGatewayScenarioForwards(t *testing.T) {
 }
 
 // TestPlantedLeakCaught proves the registry catches a deliberately-broken
-// invariant: a harness double that keeps one response buffer trips
-// buffer-conservation, and the shrinker reduces the scenario while the
+// invariant: a buffer the harness takes from a cluster pool and never
+// returns trips buffer-conservation, and the shrinker reduces the scenario while the
 // minimal case still reproduces byte-identically.
 func TestPlantedLeakCaught(t *testing.T) {
 	sc := Generate(3)

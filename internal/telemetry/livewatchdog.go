@@ -6,17 +6,17 @@ import (
 )
 
 // LiveWatchdog evaluates threshold Rules continuously as the scraper
-// samples, instead of once over the finished series like Watchdog. It
-// attaches to a Scraper's OnSample hook and re-checks only each rule's
-// newest window, carrying the sustain run across calls — so a breach fires
-// the moment its Sustain-th consecutive bad sample lands, in engine context,
-// while the system is still running. That is what lets nadino-svc dump the
-// flight recorder *at* the breach rather than post-mortem.
+// samples. It attaches to a Scraper's OnSample hook and re-checks only each
+// rule's newest window, carrying the sustain run across calls — so a breach
+// fires the moment its Sustain-th consecutive bad sample lands, in engine
+// context, while the system is still running. That is what lets nadino-svc
+// dump the flight recorder *at* the breach rather than post-mortem.
 //
-// Episode semantics match Watchdog exactly: one violation per breach
-// episode, a conforming sample closes the episode and re-arms the rule.
-// Rule.From/To bound evaluation in virtual time as usual (To == 0 means
-// forever). Recorded violations are guarded by a mutex so the HTTP plane
+// One violation per breach episode, anchored at the episode's first
+// breaching sample; a conforming sample closes the episode and re-arms the
+// rule. Rule.From/To bound evaluation in virtual time (To == 0 means
+// forever). A rule whose series the scraper lacks is itself one
+// violation. Recorded violations are guarded by a mutex so the HTTP plane
 // can list them while the engine appends.
 type LiveWatchdog struct {
 	rules []Rule

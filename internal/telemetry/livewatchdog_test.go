@@ -73,47 +73,6 @@ func TestLiveWatchdogMissingSeries(t *testing.T) {
 	}
 }
 
-// TestLiveWatchdogMatchesBatch runs the same rule live and post-mortem over
-// the same world and requires identical verdicts — the live path is an
-// incremental evaluation of the batch semantics, not a different SLO.
-func TestLiveWatchdogMatchesBatch(t *testing.T) {
-	rule := Rule{Name: "lat-slo", Series: "v", Op: OpLT, Bound: 0.5, Sustain: 3}
-
-	build := func() (*sim.Engine, *Scraper) {
-		eng := sim.NewEngine(99)
-		reg := NewRegistry()
-		v := 0.0
-		reg.Gauge("v", func() float64 { return v })
-		sc := reg.Scrape(eng, time.Millisecond)
-		eng.Ticker(time.Millisecond, func(now time.Duration) {
-			v = float64(eng.Rand().Intn(100)) / 100
-		})
-		return eng, sc
-	}
-
-	eng, sc := build()
-	live := NewLiveWatchdog()
-	live.Add(rule)
-	live.Attach(sc)
-	eng.RunUntil(50 * time.Millisecond)
-
-	eng2, sc2 := build()
-	eng2.RunUntil(50 * time.Millisecond)
-	batch := NewWatchdog()
-	batch.Add(rule)
-	want := batch.Evaluate(sc2.Lookup)
-
-	got := live.Violations()
-	if len(got) != len(want) {
-		t.Fatalf("live found %d violations, batch %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("violation %d differs:\nlive:  %+v\nbatch: %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestBuildInfo checks the conventional build_info and uptime gauges land
 // in the live exposition with both clocks.
 func TestBuildInfo(t *testing.T) {

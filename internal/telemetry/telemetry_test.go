@@ -236,25 +236,33 @@ func TestExportDir(t *testing.T) {
 	}
 }
 
-func TestWatchdogThreshold(t *testing.T) {
-	s := metrics.NewSeries("goodput")
-	for i := 0; i < 10; i++ {
-		v := 100.0
-		if i >= 3 && i <= 5 {
-			v = 40 // one three-sample dip
-		}
-		s.Add(time.Duration(i)*time.Millisecond, v)
+// liveVerdicts scrapes a "goodput" gauge every millisecond for len(vals)-1
+// samples — the sample at t ms reads vals[t] — under a LiveWatchdog
+// holding rules, and returns what it recorded.
+func liveVerdicts(vals []float64, rules ...Rule) []Violation {
+	eng := sim.NewEngine(1)
+	reg := NewRegistry()
+	reg.Gauge("goodput", func() float64 { return vals[eng.Now()/time.Millisecond] })
+	sc := reg.Scrape(eng, time.Millisecond)
+	w := NewLiveWatchdog()
+	for _, r := range rules {
+		w.Add(r)
 	}
-	lookup := func(key string) *metrics.Series {
-		if key == "goodput" {
-			return s
+	w.Attach(sc)
+	eng.RunUntil(time.Duration(len(vals)-1) * time.Millisecond)
+	return w.Violations()
+}
+
+func TestWatchdogThreshold(t *testing.T) {
+	vals := make([]float64, 10)
+	for i := range vals {
+		vals[i] = 100
+		if i >= 3 && i <= 5 {
+			vals[i] = 40 // one three-sample dip
 		}
-		return nil
 	}
 
-	wd := NewWatchdog()
-	wd.Add(Rule{Name: "floor", Series: "goodput", Op: OpGE, Bound: 50, Sustain: 2})
-	vs := wd.Evaluate(lookup)
+	vs := liveVerdicts(vals, Rule{Name: "floor", Series: "goodput", Op: OpGE, Bound: 50, Sustain: 2})
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1: %v", len(vs), vs)
 	}
@@ -263,38 +271,30 @@ func TestWatchdogThreshold(t *testing.T) {
 	}
 
 	// Sustain larger than the dip: no violation.
-	wd2 := NewWatchdog()
-	wd2.Add(Rule{Name: "floor", Series: "goodput", Op: OpGE, Bound: 50, Sustain: 4})
-	if vs := wd2.Evaluate(lookup); len(vs) != 0 {
+	if vs := liveVerdicts(vals, Rule{Name: "floor", Series: "goodput", Op: OpGE, Bound: 50, Sustain: 4}); len(vs) != 0 {
 		t.Fatalf("sustain=4 should tolerate a 3-sample dip: %v", vs)
 	}
 
 	// Window excludes the dip: no violation.
-	wd3 := NewWatchdog()
-	wd3.Add(Rule{Name: "floor", Series: "goodput", From: 6 * time.Millisecond, Op: OpGE, Bound: 50})
-	if vs := wd3.Evaluate(lookup); len(vs) != 0 {
+	if vs := liveVerdicts(vals, Rule{Name: "floor", Series: "goodput", From: 6 * time.Millisecond, Op: OpGE, Bound: 50}); len(vs) != 0 {
 		t.Fatalf("windowed rule should pass: %v", vs)
 	}
 
 	// Missing series is itself a violation.
-	wd4 := NewWatchdog()
-	wd4.Add(Rule{Name: "ghost", Series: "nope", Op: OpLT, Bound: 1})
-	if vs := wd4.Evaluate(lookup); len(vs) != 1 || vs[0].Detail != "series not found" {
+	vs = liveVerdicts(vals, Rule{Name: "ghost", Series: "nope", Op: OpLT, Bound: 1})
+	if len(vs) != 1 || vs[0].Detail != "series not found" {
 		t.Fatalf("missing series not flagged: %v", vs)
 	}
 }
 
 func TestWatchdogThresholdEpisodes(t *testing.T) {
-	s := metrics.NewSeries("x")
-	vals := []float64{1, 9, 9, 1, 1, 9, 9, 9, 1}
-	for i, v := range vals {
-		s.Add(time.Duration(i)*time.Millisecond, v)
-	}
-	wd := NewWatchdog()
-	wd.Add(Rule{Name: "ceil", Series: "x", Op: OpLT, Bound: 5, Sustain: 2})
-	vs := wd.Evaluate(func(string) *metrics.Series { return s })
+	vals := []float64{0, 1, 9, 9, 1, 1, 9, 9, 9, 1}
+	vs := liveVerdicts(vals, Rule{Name: "ceil", Series: "goodput", Op: OpLT, Bound: 5, Sustain: 2})
 	if len(vs) != 2 {
 		t.Fatalf("want one violation per breach episode, got %d: %v", len(vs), vs)
+	}
+	if vs[0].At != 2*time.Millisecond || vs[1].At != 6*time.Millisecond {
+		t.Fatalf("episodes anchored at %v and %v, want 2ms and 6ms", vs[0].At, vs[1].At)
 	}
 }
 
@@ -308,46 +308,31 @@ func TestWatchdogRecovery(t *testing.T) {
 		}
 		s.Add(time.Duration(i)*time.Millisecond, v)
 	}
-	lookup := func(string) *metrics.Series { return s }
 
-	wd := NewWatchdog()
-	wd.AddRecovery(RecoveryRule{
+	healthy := RecoveryRule{
 		Name: "recovers", Series: "goodput",
 		BaselineFrom: 0, BaselineTo: 4 * time.Millisecond,
 		ClearAt: 7 * time.Millisecond, Within: 5 * time.Millisecond,
 		Tolerance: 0.05, Sustain: 2,
-	})
-	if vs := wd.Evaluate(lookup); len(vs) != 0 {
+	}
+	if vs := healthy.Check(s); len(vs) != 0 {
 		t.Fatalf("healthy recovery flagged: %v", vs)
 	}
 
 	// Impossible budget: recovery at 8ms is 1ms after clear, so Within
 	// shorter than that must fire.
-	wd2 := NewWatchdog()
-	wd2.AddRecovery(RecoveryRule{
-		Name: "tight", Series: "goodput",
-		BaselineFrom: 0, BaselineTo: 4 * time.Millisecond,
-		ClearAt: 7 * time.Millisecond, Within: 500 * time.Microsecond,
-		Tolerance: 0.05, Sustain: 2,
-	})
-	if vs := wd2.Evaluate(lookup); len(vs) != 1 {
+	tight := healthy
+	tight.Name, tight.Within = "tight", 500*time.Microsecond
+	if vs := tight.Check(s); len(vs) != 1 {
 		t.Fatalf("budget overrun not flagged: %v", vs)
 	}
 
-	// Never recovers.
-	flat := metrics.NewSeries("dead")
-	for i := 0; i < 10; i++ {
-		flat.Add(time.Duration(i)*time.Millisecond, 10)
+	// Missing series is itself a violation.
+	if vs := healthy.Check(nil); len(vs) != 1 || vs[0].Detail != "series not found" {
+		t.Fatalf("missing series not flagged: %v", vs)
 	}
-	wd3 := NewWatchdog()
-	wd3.AddRecovery(RecoveryRule{
-		Name: "dead", Series: "dead",
-		BaselineFrom: 0, BaselineTo: 2 * time.Millisecond,
-		ClearAt: 3 * time.Millisecond, Within: 5 * time.Millisecond,
-		Tolerance: 0.05, Sustain: 2,
-	})
-	// Baseline is 10 and the series stays at 10, so it "recovers"
-	// immediately — use a real collapse instead.
+
+	// Never recovers.
 	collapse := metrics.NewSeries("collapse")
 	for i := 0; i < 10; i++ {
 		v := 100.0
@@ -356,14 +341,13 @@ func TestWatchdogRecovery(t *testing.T) {
 		}
 		collapse.Add(time.Duration(i)*time.Millisecond, v)
 	}
-	wd4 := NewWatchdog()
-	wd4.AddRecovery(RecoveryRule{
+	never := RecoveryRule{
 		Name: "never", Series: "collapse",
 		BaselineFrom: 0, BaselineTo: 2 * time.Millisecond,
 		ClearAt:   4 * time.Millisecond,
 		Tolerance: 0.05, Sustain: 2,
-	})
-	vs := wd4.Evaluate(func(string) *metrics.Series { return collapse })
+	}
+	vs := never.Check(collapse)
 	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "no sustained return") {
 		t.Fatalf("permanent collapse not flagged: %v", vs)
 	}

@@ -69,11 +69,10 @@ func (r *Rule) covers(t time.Duration) bool {
 	return t >= r.From && (r.To <= 0 || t <= r.To)
 }
 
-// episode is one threshold rule's breach state machine, shared by Watchdog
-// (replayed over a finished series) and LiveWatchdog (fed sample by sample
-// as the scraper lands them). Consecutive breaching samples form a run; the
-// run fires one violation once it reaches Sustain samples, and a conforming
-// sample closes the episode and re-arms the rule.
+// episode is one threshold rule's breach state machine, fed sample by
+// sample by LiveWatchdog as the scraper lands them. Consecutive breaching
+// samples form a run; the run fires one violation once it reaches Sustain
+// samples, and a conforming sample closes the episode and re-arms the rule.
 type episode struct {
 	run      int
 	runStart time.Duration
@@ -106,7 +105,8 @@ func (e *episode) observe(r *Rule, t time.Duration, v float64) (Violation, bool)
 // ClearAt, the series must make a sustained return to within Tolerance of
 // its own baseline (measured over [BaselineFrom, BaselineTo]) in at most
 // Within of virtual time. It wraps metrics.RecoveryDetector, replacing the
-// hand-rolled recovery assertions in the resilience experiments.
+// hand-rolled recovery assertions in the resilience experiments; Check
+// evaluates it once the run has finished.
 type RecoveryRule struct {
 	Name         string
 	Series       string
@@ -131,56 +131,10 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s at %v (value %g): %s", v.Rule, v.Series, v.At, v.Value, v.Detail)
 }
 
-// Watchdog evaluates a set of declarative rules over collected series.
-// Rules are checked in the order added; evaluation is a pure function of
-// the series, so watchdog verdicts inherit the simulation's determinism.
-type Watchdog struct {
-	rules    []Rule
-	recovery []RecoveryRule
-}
-
-// NewWatchdog returns an empty watchdog.
-func NewWatchdog() *Watchdog { return &Watchdog{} }
-
-// Add registers a threshold rule.
-func (w *Watchdog) Add(r Rule) { w.rules = append(w.rules, r) }
-
-// AddRecovery registers a recovery rule.
-func (w *Watchdog) AddRecovery(r RecoveryRule) { w.recovery = append(w.recovery, r) }
-
-// Evaluate runs every rule against the series returned by lookup (a
-// Scraper's Lookup, or any map over metrics.Series) and returns the
-// violations in rule order. A rule whose series is missing is itself a
-// violation — a silently absent SLO is worse than a failing one.
-func (w *Watchdog) Evaluate(lookup func(key string) *metrics.Series) []Violation {
-	var out []Violation
-	for _, r := range w.rules {
-		out = append(out, evalThreshold(r, lookup(r.Series))...)
-	}
-	for _, r := range w.recovery {
-		out = append(out, evalRecovery(r, lookup(r.Series))...)
-	}
-	return out
-}
-
-func evalThreshold(r Rule, s *metrics.Series) []Violation {
-	if s == nil {
-		return []Violation{{Rule: r.Name, Series: r.Series, Detail: "series not found"}}
-	}
-	var out []Violation
-	var ep episode
-	for _, p := range s.Points {
-		if !r.covers(p.T) {
-			continue
-		}
-		if v, fired := ep.observe(&r, p.T, p.V); fired {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func evalRecovery(r RecoveryRule, s *metrics.Series) []Violation {
+// Check evaluates the recovery SLO over s, the rule's series after the run
+// (nil when the series is missing, itself a violation — a silently absent
+// SLO is worse than a failing one).
+func (r RecoveryRule) Check(s *metrics.Series) []Violation {
 	if s == nil {
 		return []Violation{{Rule: r.Name, Series: r.Series, Detail: "series not found"}}
 	}
