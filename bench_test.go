@@ -204,14 +204,15 @@ func BenchmarkMempoolGetPut(b *testing.B) {
 // BenchmarkDWRRSchedule measures scheduler enqueue/dequeue throughput.
 func BenchmarkDWRRSchedule(b *testing.B) {
 	s := dne.NewDWRR(2048)
-	s.SetWeight("a", 6)
-	s.SetWeight("b", 1)
-	s.SetWeight("c", 2)
-	names := []string{"a", "b", "c"}
+	names := []mempool.Name{mempool.Intern("a"), mempool.Intern("b"), mempool.Intern("c")}
+	s.SetWeight(names[0], 6)
+	s.SetWeight(names[1], 1)
+	s.SetWeight(names[2], 2)
 	d := mempool.Descriptor{Len: 1024}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Enqueue(names[i%3], d)
+		d.Tenant = names[i%3]
+		s.Enqueue(d)
 		if _, ok := s.Next(); !ok {
 			b.Fatal("scheduler ran dry")
 		}

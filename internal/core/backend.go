@@ -30,7 +30,7 @@ const (
 // beTenant is the ingress backend's per-tenant slice: its own pool on the
 // ingress node, a shared receive queue, and RC pools toward each worker.
 type beTenant struct {
-	name  string
+	name  mempool.Name
 	pool  *mempool.Pool
 	cache *mempool.Cache // per-consumer cache for the ingress Get/Put churn
 	srq   *rdma.SRQ
@@ -48,8 +48,8 @@ type rdmaBackend struct {
 	rnic      *rdma.RNIC
 	cq        *rdma.CQ
 	cqeBuf    []rdma.CQE // reusable poll buffer
-	tenants   map[string]*beTenant
-	tenantSeq []*beTenant // insertion order: map walks are nondeterministic
+	tenants   mempool.NameTable[*beTenant]
+	tenantSeq []*beTenant // registration order, for deterministic walks
 
 	// drops counts requests the backend gave up on: no send buffer, or a
 	// send that failed (sendErrors counts those too).
@@ -59,27 +59,26 @@ type rdmaBackend struct {
 
 func newRDMABackend(c *Cluster) *rdmaBackend {
 	return &rdmaBackend{
-		c:       c,
-		rnic:    rdma.NewRNIC(c.Eng, c.P, ingressNodeName, c.net),
-		cq:      rdma.NewCQ(c.Eng),
-		tenants: make(map[string]*beTenant),
+		c:    c,
+		rnic: rdma.NewRNIC(c.Eng, c.P, ingressNodeName, c.net),
+		cq:   rdma.NewCQ(c.Eng),
 	}
 }
 
 // tenant returns (creating on first use) the backend slice for a tenant.
-func (b *rdmaBackend) tenant(name string) *beTenant {
-	t, ok := b.tenants[name]
-	if !ok {
+func (b *rdmaBackend) tenant(name mempool.Name) *beTenant {
+	t := b.tenants.Get(name)
+	if t == nil {
 		t = &beTenant{
 			name:  name,
-			pool:  mempool.NewPool(name, b.c.cfg.BufSize, b.c.cfg.PoolBuffers, b.c.P.HugepageSize),
-			srq:   rdma.NewSRQ(name),
+			pool:  mempool.NewPool(name.String(), b.c.cfg.BufSize, b.c.cfg.PoolBuffers, b.c.P.HugepageSize),
+			srq:   rdma.NewSRQ(name.String()),
 			conns: make(map[string]*rdma.ConnPool),
 			rqBuf: make([]mempool.Buffer, 64),
 			rqDsc: make([]mempool.Descriptor, 64),
 		}
 		t.cache = mempool.NewCache(t.pool, ingressOwner, ingressCache)
-		b.tenants[name] = t
+		b.tenants.Set(name, t)
 		b.tenantSeq = append(b.tenantSeq, t)
 	}
 	return t
@@ -130,7 +129,7 @@ func (b *rdmaBackend) Forward(req ingress.Request, done func(ingress.Response)) 
 		panic(fmt.Sprintf("core: ingress request for unknown chain %q", req.Chain))
 	}
 	entry := b.c.resolveInstance(spec.Entry)
-	t := b.tenant(b.c.chainTenant(spec))
+	t := b.tenant(spec.tenant)
 	buf, err := t.cache.Get()
 	if err != nil {
 		b.drops++
@@ -143,12 +142,11 @@ func (b *rdmaBackend) Forward(req ingress.Request, done func(ingress.Response)) 
 	if req.Group != nil {
 		rc.Spec = req.Group.Killed
 	}
+	mc := &msgCtx{Kind: kindRequest, Req: rc}
 	d := mempool.Descriptor{
 		Tenant: t.name, Buf: buf, Len: req.Bytes,
-		Src: "ingress", Dst: entry.name,
-		Ctx:   &msgCtx{Kind: kindRequest, Req: rc},
-		Trace: req.Trace,
-		Spec:  rc.Spec,
+		Src: ingressName, Dst: entry.id,
+		Req: mc.record(req.Trace, rc.Spec),
 	}
 	rc.bind(entry)
 	cp := t.conns[string(entry.node.name)]
@@ -175,7 +173,7 @@ func (b *rdmaBackend) pollLoop(pr *sim.Proc) {
 				t := b.tenant(cqe.Desc.Tenant)
 				switch cqe.Op {
 				case rdma.OpSend:
-					cqe.Desc.Trace.EndStage(trace.StageRDMAAck)
+					cqe.Desc.Trace().EndStage(trace.StageRDMAAck)
 					if cqe.Status != rdma.StatusOK {
 						// The request never reached its entry function and
 						// nothing retries it: account it as a drop, and
@@ -186,15 +184,15 @@ func (b *rdmaBackend) pollLoop(pr *sim.Proc) {
 						cqe.Desc.NotifyDropped()
 						t.conns[string(cqe.QP.Peer().RNIC().Node())].Repair()
 					}
-					if cqe.Desc.Tenant != "" {
+					if cqe.Desc.Tenant != 0 {
 						if err := t.cache.Put(cqe.Desc.Buf); err != nil {
 							panic(fmt.Sprintf("core: ingress send recycle: %v", err))
 						}
 					}
 				case rdma.OpRecv:
 					d := cqe.Desc
-					d.Trace.EndStage(trace.StageRDMACQ)
-					mc, ok := d.Ctx.(*msgCtx)
+					d.Trace().EndStage(trace.StageRDMACQ)
+					mc, ok := d.Ctx().(*msgCtx)
 					if !ok || mc.IngressDone == nil {
 						panic("core: ingress received response without done callback")
 					}
@@ -250,10 +248,11 @@ func (b *tcpBackend) Forward(req ingress.Request, done func(ingress.Response)) {
 		rc.Spec = req.Group.Killed
 	}
 	mc := &msgCtx{Kind: kindRequest, Req: rc}
+	mc.record(req.Trace, nil)
 	rc.bind(entry)
 	t0 := b.c.Eng.Now()
 	b.c.Eng.After(b.c.tcpTransit(b.c.workerStack()), func() {
 		req.Trace.Record(trace.StageTransit, "wire", t0, b.c.Eng.Now())
-		entry.tcpIn.TryPut(tcpMsg{Bytes: req.Bytes, Src: "ingress", Ctx: mc, Trace: req.Trace})
+		entry.tcpIn.TryPut(tcpMsg{Bytes: req.Bytes, Src: ingressName, Ctx: mc})
 	})
 }

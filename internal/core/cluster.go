@@ -82,6 +82,11 @@ type Config struct {
 // ingressNodeName is the fabric name of the dedicated ingress node.
 const ingressNodeName = "ingress"
 
+// ingressName is the same name interned as a function ID: the ingress
+// backend is the pseudo-function entry responses are addressed to and
+// ingress requests come from.
+var ingressName = mempool.Intern(ingressNodeName)
+
 // ingressOwner is the mempool owner used by the ingress RDMA backend.
 const ingressOwner mempool.Owner = "ingress-gw"
 
@@ -91,7 +96,7 @@ type Node struct {
 	// reg is the node's DPDK-style file-prefix namespace; pools holds one
 	// unified memory pool per tenant (§3.4.1).
 	reg   *mempool.Registry
-	pools map[string]*mempool.Pool
+	pools mempool.NameTable[*mempool.Pool]
 	dpu   *dpu.DPU
 
 	engine *dne.Engine      // NADINO systems
@@ -109,9 +114,11 @@ type Node struct {
 type Function struct {
 	spec   FunctionSpec
 	name   string
-	tenant string
+	id     mempool.Name // interned name: descriptors address the function by it
+	tenant mempool.Name
 	owner  mempool.Owner
 	node   *Node
+	pool   *mempool.Pool // the tenant's pool on the function's node
 	core   *sim.Processor
 	group  *FnGroup
 	// inflight counts requests accepted but not yet responded to — the
@@ -125,12 +132,11 @@ type Function struct {
 }
 
 // tcpMsg is a message crossing a modeled TCP socket (payload copied, so no
-// pool buffer travels with it).
+// pool buffer travels with it). Its side record, trace included, is Ctx's.
 type tcpMsg struct {
 	Bytes int
-	Src   string
+	Src   mempool.Name
 	Ctx   *msgCtx
-	Trace *trace.Req
 }
 
 // Cluster is the assembled system under test.
@@ -143,9 +149,10 @@ type Cluster struct {
 	nodes   map[string]*Node
 	nodeSeq []*Node
 	fns     map[string]*Function
-	fnSeq   []*Function // declaration order: map walks are nondeterministic
+	fnByID  mempool.NameTable[*Function] // descriptor Dst/Src -> instance
+	fnSeq   []*Function                  // declaration order: map walks are nondeterministic
 	groups  map[string]*FnGroup
-	chains  map[string]*ChainSpec
+	chains  map[string]*chain
 	tenants []TenantSpec
 	// crossTenantCopies counts sidecar-enforced copies between tenants.
 	crossTenantCopies uint64
@@ -214,7 +221,7 @@ func NewCluster(cfg Config) *Cluster {
 		nodes:        make(map[string]*Node),
 		fns:          make(map[string]*Function),
 		groups:       make(map[string]*FnGroup),
-		chains:       make(map[string]*ChainSpec),
+		chains:       make(map[string]*chain),
 		ready:        sim.NewQueue[struct{}](eng, 0),
 		ChainLatency: make(map[string]*metrics.Hist),
 		Completed:    metrics.NewMeter(),
@@ -222,9 +229,12 @@ func NewCluster(cfg Config) *Cluster {
 	c.tenants = tenants
 	c.tracer = cfg.Tracer
 	c.tracer.SetClock(eng.Now)
-	for i := range cfg.Chains {
-		ch := cfg.Chains[i]
-		c.chains[ch.Name] = &ch
+	for _, ch := range cfg.Chains {
+		tenant := ch.Tenant
+		if tenant == "" {
+			tenant = cfg.Tenant
+		}
+		c.chains[ch.Name] = &chain{ChainSpec: ch, tenant: mempool.Intern(tenant)}
 		c.ChainLatency[ch.Name] = metrics.NewHist()
 	}
 
@@ -259,10 +269,9 @@ func NewCluster(cfg Config) *Cluster {
 
 func (c *Cluster) addNode(name string) {
 	n := &Node{
-		name:  fabric.NodeID(name),
-		reg:   mempool.NewRegistry(name),
-		pools: make(map[string]*mempool.Pool),
-		dpu:   dpu.New(c.Eng, c.P, fabric.NodeID(name), c.net, 2),
+		name: fabric.NodeID(name),
+		reg:  mempool.NewRegistry(name),
+		dpu:  dpu.New(c.Eng, c.P, fabric.NodeID(name), c.net, 2),
 	}
 	// Each tenant's shared-memory agent creates its pool under its own
 	// file-prefix (§3.4.1).
@@ -271,7 +280,7 @@ func (c *Cluster) addNode(name string) {
 		if err != nil {
 			panic(err)
 		}
-		n.pools[ts.Name] = pool
+		n.pools.Set(mempool.Intern(ts.Name), pool)
 	}
 	switch c.cfg.System {
 	case NadinoDNE:
@@ -293,13 +302,13 @@ func (c *Cluster) addNode(name string) {
 	}
 	if n.engine != nil {
 		for _, ts := range c.tenants {
-			n.engine.AddTenant(ts.Name, n.pools[ts.Name], ts.Weight)
+			n.engine.AddTenant(ts.Name, n.pool(mempool.Intern(ts.Name)), ts.Weight)
 		}
 	}
 	if n.engine != nil && c.cfg.Gateways {
 		n.gw = gateway.New(c.Eng, c.P, n.name, c.net, n.dpu.RNIC(), c.cfg.GatewayWindow)
 		for _, ts := range c.tenants {
-			n.gw.AddTenant(ts.Name, n.pools[ts.Name])
+			n.gw.AddTenant(ts.Name, n.pool(mempool.Intern(ts.Name)))
 		}
 		n.gw.SetEgress(n.engine)
 		n.engine.SetForwarder(n.gw, n.gw.Owner())
@@ -309,7 +318,7 @@ func (c *Cluster) addNode(name string) {
 }
 
 // pool returns node n's unified memory pool for tenant.
-func (n *Node) pool(tenant string) *mempool.Pool { return n.pools[tenant] }
+func (n *Node) pool(tenant mempool.Name) *mempool.Pool { return n.pools.Get(tenant) }
 
 func (c *Cluster) addFunction(fs FunctionSpec) *Function {
 	if fs.Workers == 0 {
@@ -334,7 +343,8 @@ func (c *Cluster) addFunction(fs FunctionSpec) *Function {
 	f := &Function{
 		spec:   fs,
 		name:   fs.Name,
-		tenant: tenant,
+		id:     mempool.Intern(fs.Name),
+		tenant: mempool.Intern(tenant),
 		owner:  mempool.Owner(fs.Name),
 		node:   n,
 		core:   sim.NewProcessorDisc(c.Eng, nodeName+"/"+fs.Name, c.P.HostCoreSpeed, disc),
@@ -342,9 +352,11 @@ func (c *Cluster) addFunction(fs FunctionSpec) *Function {
 	}
 	// The function maps its tenant's pool as a DPDK secondary process; the
 	// registry rejects cross-tenant attachment (§3.4.1).
-	if _, err := n.reg.Attach(tenant, tenant); err != nil {
+	pool, err := n.reg.Attach(tenant, tenant)
+	if err != nil {
 		panic(err)
 	}
+	f.pool = pool
 	switch c.cfg.System {
 	case NadinoDNE, NadinoCNE:
 		f.localIn = ipc.NewSKMsg(c.Eng, c.P, nil)
@@ -364,6 +376,7 @@ func (c *Cluster) addFunction(fs FunctionSpec) *Function {
 	}
 	n.fns = append(n.fns, f)
 	c.fns[f.name] = f
+	c.fnByID.Set(f.id, f)
 	c.fnSeq = append(c.fnSeq, f)
 	return f
 }
@@ -413,12 +426,11 @@ func (c *Cluster) buildIngress() {
 	c.gw = ingress.New(c.Eng, c.P, icfg, backend)
 }
 
-// chainTenant resolves a chain's owning tenant.
-func (c *Cluster) chainTenant(spec *ChainSpec) string {
-	if spec.Tenant != "" {
-		return spec.Tenant
-	}
-	return c.cfg.Tenant
+// chain is a declared chain with its owning tenant resolved (the default
+// tenant when ChainSpec.Tenant is empty) and interned.
+type chain struct {
+	ChainSpec
+	tenant mempool.Name
 }
 
 // SetTracer installs (or, with nil, removes) the request tracer at runtime;
@@ -471,7 +483,7 @@ func (c *Cluster) NodeNames() []string {
 // unknown).
 func (c *Cluster) Pool(node, tenant string) *mempool.Pool {
 	if n := c.nodes[node]; n != nil {
-		return n.pools[tenant]
+		return n.pool(mempool.Intern(tenant))
 	}
 	return nil
 }
@@ -605,7 +617,7 @@ func (c *Cluster) setupNadino(pr *sim.Proc) {
 				n.gw.Routes().Set(f.name, f.node.name)
 			}
 		}
-		n.engine.SetRoute("ingress", ingressNodeName)
+		n.engine.SetRoute(ingressNodeName, ingressNodeName)
 	}
 	// Establish all RC pools concurrently: the DNEs bring connections up
 	// in parallel at deployment, so setup costs one handshake, not one per
@@ -633,7 +645,7 @@ func (c *Cluster) setupNadino(pr *sim.Proc) {
 			n := n
 			jobs++
 			c.Eng.Spawn("setup-ingress", func(spr *sim.Proc) {
-				be := c.rdmaBE.tenant(tenant)
+				be := c.rdmaBE.tenant(mempool.Intern(tenant))
 				cpW, cpI := rdma.EstablishPair(spr, c.P, tenant,
 					n.dpu.RNIC(), c.rdmaBE.rnic, 8,
 					n.engine.SRQ(tenant), be.srq,
@@ -687,7 +699,7 @@ func (c *Cluster) startFunction(f *Function) {
 		c.Eng.Spawn(f.name+"/shm-rx", func(pr *sim.Proc) {
 			for {
 				d := f.localIn.Recv(pr)
-				sp := d.Trace.Begin(trace.StageFnDeliver, f.name)
+				sp := d.Trace().Begin(trace.StageFnDeliver, f.name)
 				f.core.Exec(pr, f.localIn.WakeupCost()+c.P.SemTokenCost)
 				sp.End()
 				c.deliver(pr, f, d)
@@ -699,19 +711,18 @@ func (c *Cluster) startFunction(f *Function) {
 		c.Eng.Spawn(f.name+"/tcp-rx", func(pr *sim.Proc) {
 			for {
 				m := f.tcpIn.Get(pr)
-				sp := m.Trace.Begin(st.TraceStage(), f.name)
+				sp := m.Ctx.rec.Trace.Begin(st.TraceStage(), f.name)
 				f.core.Exec(pr, transport.RecvCost(c.P, st, m.Bytes))
 				sp.End()
 				// The payload is copied out of the socket into a fresh
 				// local buffer.
-				buf, err := c.getBufferRetry(pr, f.node.pool(f.tenant), f.owner)
+				buf, err := c.getBufferRetry(pr, f.pool, f.owner)
 				if err != nil {
 					continue
 				}
 				d := mempool.Descriptor{
 					Tenant: f.tenant, Buf: buf, Len: m.Bytes,
-					Src: m.Src, Dst: f.name, Ctx: m.Ctx,
-					Trace: m.Trace,
+					Src: m.Src, Dst: f.id, Req: &m.Ctx.rec,
 				}
 				c.deliver(pr, f, d)
 			}

@@ -119,8 +119,9 @@ func TestBufferConservationAcrossSystems(t *testing.T) {
 			// Stop the load by just letting in-flight work drain.
 			c.Eng.RunUntil(c.Eng.Now() + 50*time.Millisecond)
 			for name, n := range c.nodes {
-				for tenant, pool := range n.pools {
-					inUse := pool.InUse()
+				for _, ts := range c.tenants {
+					tenant := ts.Name
+					inUse := c.Pool(name, tenant).InUse()
 					var posted int
 					if n.engine != nil {
 						posted = n.engine.SRQ(tenant).Posted()

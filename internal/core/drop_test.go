@@ -7,6 +7,7 @@ import (
 	"nadino/internal/chaos"
 	"nadino/internal/fabric"
 	"nadino/internal/ingress"
+	"nadino/internal/mempool"
 	"nadino/internal/sim"
 )
 
@@ -74,7 +75,7 @@ func TestIngressSendErrorsAreCountedDrops(t *testing.T) {
 		}
 	})
 	c.Eng.At(base+10*time.Millisecond, func() {
-		c.rdmaBE.tenant(c.cfg.Tenant).conns["node1"].ForceError(0)
+		c.rdmaBE.tenant(mempool.Intern(c.cfg.Tenant)).conns["node1"].ForceError(0)
 	})
 	c.Eng.RunUntil(loadEnd + 200*time.Millisecond)
 

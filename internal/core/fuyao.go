@@ -151,7 +151,7 @@ func (e *fuyaoEngine) engineLoop(pr *sim.Proc) {
 		}
 		for i, m := 0, e.cq.PollInto(e.cqeBuf); i < m; i++ {
 			cqe := e.cqeBuf[i]
-			if cqe.Op == rdma.OpWrite && cqe.Desc.Tenant != "" {
+			if cqe.Op == rdma.OpWrite && cqe.Desc.Tenant != 0 {
 				// Source buffer can be recycled now.
 				if err := e.node.pool(cqe.Desc.Tenant).Put(cqe.Desc.Buf, e.owner); err != nil {
 					panic(fmt.Sprintf("core: fuyao source recycle: %v", err))
@@ -168,7 +168,7 @@ func (e *fuyaoEngine) engineLoop(pr *sim.Proc) {
 // txOne issues one one-sided write, returning false when out of credits.
 func (e *fuyaoEngine) txOne(pr *sim.Proc, d mempool.Descriptor, charge bool) bool {
 	p := e.c.P
-	dst := e.c.fns[d.Dst]
+	dst := e.c.fnByID.Get(d.Dst)
 	if dst == nil {
 		return true // drop unroutable
 	}
@@ -207,7 +207,7 @@ func (e *fuyaoEngine) pollerLoop(pr *sim.Proc) {
 		for _, l := range landed {
 			// The receiver-side copy that two-sided RDMA avoids.
 			e.pollCore.Exec(pr, p.MemcpyBase+params.Bytes(p.MemcpyPerByteCold, l.Bytes))
-			dstFn := e.c.fns[l.Desc.Dst]
+			dstFn := e.c.fnByID.Get(l.Desc.Dst)
 			if dstFn == nil {
 				e.returnCredit(l)
 				continue
@@ -229,7 +229,7 @@ func (e *fuyaoEngine) pollerLoop(pr *sim.Proc) {
 
 // returnCredit ships the landed slot back to the sender's free ring.
 func (e *fuyaoEngine) returnCredit(l rdma.Landed) {
-	srcFn := e.c.fns[l.Desc.Src]
+	srcFn := e.c.fnByID.Get(l.Desc.Src)
 	if srcFn == nil {
 		return
 	}

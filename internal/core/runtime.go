@@ -20,9 +20,9 @@ func (c *Cluster) functionWorker(pr *sim.Proc, f *Function) {
 	lastServed := time.Duration(-1)
 	for {
 		d := f.inbox.Get(pr)
-		tr := d.Trace
+		tr := d.Trace()
 		tr.EndStage(trace.StageFnQueue)
-		mc, ok := d.Ctx.(*msgCtx)
+		mc, ok := d.Ctx().(*msgCtx)
 		if !ok || mc.Kind != kindRequest || mc.Req == nil {
 			panic(fmt.Sprintf("core: %s received malformed request descriptor", f.name))
 		}
@@ -31,7 +31,7 @@ func (c *Cluster) functionWorker(pr *sim.Proc, f *Function) {
 			// dequeue boundary — return the buffer, skip the cold start and
 			// the application work entirely.
 			tr.Event(trace.StageSpecCancel, f.name)
-			if err := f.node.pool(f.tenant).Put(d.Buf, f.owner); err != nil {
+			if err := f.pool.Put(d.Buf, f.owner); err != nil {
 				panic(fmt.Sprintf("core: %s cancelled clone recycle: %v", f.name, err))
 			}
 			mc.Req.settle()
@@ -50,7 +50,7 @@ func (c *Cluster) functionWorker(pr *sim.Proc, f *Function) {
 		}
 		rc := mc.Req
 		// The request payload has been consumed; recycle its buffer.
-		if err := f.node.pool(f.tenant).Put(d.Buf, f.owner); err != nil {
+		if err := f.pool.Put(d.Buf, f.owner); err != nil {
 			panic(fmt.Sprintf("core: %s request buffer recycle: %v", f.name, err))
 		}
 		// Application compute.
@@ -118,30 +118,29 @@ var errCallDropped = errors.New("core: call dropped by the data plane")
 // invoke performs one synchronous downstream call and waits for the
 // response. The unified I/O library (send) picks the transport.
 func (c *Cluster) invoke(pr *sim.Proc, f *Function, call Call, chain string, tr *trace.Req) error {
-	buf, err := c.getBufferRetry(pr, f.node.pool(f.tenant), f.owner)
+	buf, err := c.getBufferRetry(pr, f.pool, f.owner)
 	if err != nil {
 		return err
 	}
 	cc := &callCtx{q: sim.NewQueue[mempool.Descriptor](c.Eng, 0)}
+	mc := &msgCtx{Kind: kindRequest, Req: &reqCtx{
+		Chain: chain, Calls: call.Calls, RespBytes: call.RespBytes,
+		ReplyTo: f.name, Call: cc,
+	}}
 	d := mempool.Descriptor{
-		Tenant: f.tenant, Buf: buf, Len: call.ReqBytes,
-		Src: f.name, Dst: call.Callee,
-		Ctx: &msgCtx{Kind: kindRequest, Req: &reqCtx{
-			Chain: chain, Calls: call.Calls, RespBytes: call.RespBytes,
-			ReplyTo: f.name, Call: cc,
-		}},
-		Trace: tr,
+		Tenant: f.tenant, Buf: buf, Len: call.ReqBytes, Src: f.id,
+		Req: mc.record(tr, nil),
 	}
 	if err := c.send(pr, f, call.Callee, d); err != nil {
 		return err
 	}
 	resp := cc.q.Get(pr)
-	if resp.Ctx == nil {
+	if resp.Req == nil {
 		return errCallDropped
 	}
 	// Consume and recycle the response buffer (the sidecar has already
 	// normalized cross-tenant responses into f's own pool).
-	if err := f.node.pool(f.tenant).Put(resp.Buf, f.owner); err != nil {
+	if err := f.pool.Put(resp.Buf, f.owner); err != nil {
 		panic(fmt.Sprintf("core: %s response buffer recycle: %v", f.name, err))
 	}
 	return nil
@@ -154,18 +153,17 @@ func (c *Cluster) respond(pr *sim.Proc, f *Function, rc *reqCtx, tr *trace.Req) 
 		c.respondIngress(pr, f, rc, tr)
 		return
 	}
-	buf, err := c.getBufferRetry(pr, f.node.pool(f.tenant), f.owner)
+	buf, err := c.getBufferRetry(pr, f.pool, f.owner)
 	if err != nil {
 		return
 	}
+	mc := &msgCtx{Kind: kindResponse, Call: rc.Call}
 	d := mempool.Descriptor{
-		Tenant: f.tenant, Buf: buf, Len: rc.RespBytes,
-		Src: f.name, Dst: rc.ReplyTo,
-		Ctx:   &msgCtx{Kind: kindResponse, Call: rc.Call},
-		Trace: tr,
+		Tenant: f.tenant, Buf: buf, Len: rc.RespBytes, Src: f.id,
+		Req: mc.record(tr, nil),
 	}
 	if err := c.send(pr, f, rc.ReplyTo, d); err != nil {
-		_ = f.node.pool(f.tenant).Put(buf, f.owner)
+		_ = f.pool.Put(buf, f.owner)
 	}
 }
 
@@ -174,22 +172,21 @@ func (c *Cluster) respondIngress(pr *sim.Proc, f *Function, rc *reqCtx, tr *trac
 	if f.port != nil {
 		// NADINO: the response descriptor travels over RDMA to the
 		// ingress node, zero copy all the way.
-		buf, err := c.getBufferRetry(pr, f.node.pool(f.tenant), f.owner)
+		buf, err := c.getBufferRetry(pr, f.pool, f.owner)
 		if err != nil {
 			return
 		}
+		mc := &msgCtx{Kind: kindResponse, IngressDone: rc.IngressDone, Stamp: rc.Stamp}
 		d := mempool.Descriptor{
 			Tenant: f.tenant, Buf: buf, Len: rc.RespBytes,
-			Src: f.name, Dst: "ingress",
-			Ctx:   &msgCtx{Kind: kindResponse, IngressDone: rc.IngressDone, Stamp: rc.Stamp},
-			Trace: tr,
+			Src: f.id, Dst: ingressName,
 			// The response leg keeps the probe: a loser's response is killed
 			// at the DNE TX gate, while the winner's response always passes
 			// it before the group resolves at the ingress boundary.
-			Spec: rc.Spec,
+			Req: mc.record(tr, rc.Spec),
 		}
 		if err := f.port.Send(pr, f.core, d); err != nil {
-			_ = f.node.pool(f.tenant).Put(buf, f.owner)
+			_ = f.pool.Put(buf, f.owner)
 		}
 		return
 	}
@@ -221,21 +218,21 @@ func (c *Cluster) send(pr *sim.Proc, f *Function, dst string, d mempool.Descript
 	if target == nil {
 		return fmt.Errorf("core: unknown destination function %q", dst)
 	}
-	d.Dst = target.name // concrete instance after load balancing
-	if mc, ok := d.Ctx.(*msgCtx); ok && mc.Kind == kindRequest {
+	d.Dst = target.id // concrete instance after load balancing
+	if mc, ok := d.Ctx().(*msgCtx); ok && mc.Kind == kindRequest {
 		mc.Req.bind(target)
 	}
 	p := c.P
 	sameNode := target.node == f.node
 
-	pool := f.node.pool(f.tenant)
+	pool := f.pool
 	switch c.cfg.System {
 	case NadinoDNE, NadinoCNE:
 		if sameNode {
 			// Zero-copy shared memory: token passing + SK_MSG descriptor.
 			// (Cross-tenant deliveries get their sidecar copy on the
 			// receive side.)
-			sp := d.Trace.Begin(trace.StageSKMsg, f.name)
+			sp := d.Trace().Begin(trace.StageSKMsg, f.name)
 			f.core.Exec(pr, p.SKMsgSendCost+p.SemTokenCost)
 			sp.End()
 			if err := pool.Transfer(d.Buf, f.owner, target.owner); err != nil {
@@ -248,7 +245,7 @@ func (c *Cluster) send(pr *sim.Proc, f *Function, dst string, d mempool.Descript
 
 	case FuyaoF, FuyaoK:
 		if sameNode {
-			sp := d.Trace.Begin(trace.StageSKMsg, f.name)
+			sp := d.Trace().Begin(trace.StageSKMsg, f.name)
 			f.core.Exec(pr, p.SKMsgSendCost+p.SemTokenCost)
 			sp.End()
 			if err := pool.Transfer(d.Buf, f.owner, target.owner); err != nil {
@@ -258,7 +255,7 @@ func (c *Cluster) send(pr *sim.Proc, f *Function, dst string, d mempool.Descript
 			return nil
 		}
 		// Hand off to the node's FUYAO engine for a one-sided write.
-		sp := d.Trace.Begin(trace.StageSKMsg, f.name)
+		sp := d.Trace().Begin(trace.StageSKMsg, f.name)
 		f.core.Exec(pr, p.SKMsgSendCost)
 		sp.End()
 		if err := pool.Transfer(d.Buf, f.owner, f.node.fuyao.owner); err != nil {
@@ -269,7 +266,7 @@ func (c *Cluster) send(pr *sim.Proc, f *Function, dst string, d mempool.Descript
 
 	case Spright, NightCore:
 		if sameNode {
-			sp := d.Trace.Begin(trace.StageSKMsg, f.name)
+			sp := d.Trace().Begin(trace.StageSKMsg, f.name)
 			f.core.Exec(pr, p.SKMsgSendCost+p.SemTokenCost)
 			sp.End()
 			if err := pool.Transfer(d.Buf, f.owner, target.owner); err != nil {
@@ -280,7 +277,7 @@ func (c *Cluster) send(pr *sim.Proc, f *Function, dst string, d mempool.Descript
 		}
 		// SPRIGHT inter-node: kernel TCP on the function cores, with the
 		// payload copied through the sockets.
-		sp := d.Trace.Begin(transport.Kernel.TraceStage(), f.name)
+		sp := d.Trace().Begin(transport.Kernel.TraceStage(), f.name)
 		f.core.Exec(pr, transport.SendCost(p, transport.Kernel, d.Len))
 		sp.End()
 		if err := pool.Put(d.Buf, f.owner); err != nil {
@@ -292,7 +289,7 @@ func (c *Cluster) send(pr *sim.Proc, f *Function, dst string, d mempool.Descript
 	case Junction:
 		// Junction uses its kernel-bypass TCP stack for every hop, local
 		// or remote; data is copied through the stack either way.
-		sp := d.Trace.Begin(transport.Junction.TraceStage(), f.name)
+		sp := d.Trace().Begin(transport.Junction.TraceStage(), f.name)
 		f.core.Exec(pr, transport.SendCost(p, transport.Junction, d.Len))
 		sp.End()
 		if err := pool.Put(d.Buf, f.owner); err != nil {
@@ -307,10 +304,10 @@ func (c *Cluster) send(pr *sim.Proc, f *Function, dst string, d mempool.Descript
 // tcpShip delivers a copied message to the target's socket inbox after the
 // stack's transit latency.
 func (c *Cluster) tcpShip(target *Function, d mempool.Descriptor, st transport.Stack) {
-	m := tcpMsg{Bytes: d.Len, Src: d.Src, Ctx: d.Ctx.(*msgCtx), Trace: d.Trace}
+	m := tcpMsg{Bytes: d.Len, Src: d.Src, Ctx: d.Ctx().(*msgCtx)}
 	t0 := c.Eng.Now()
 	c.Eng.After(c.tcpTransit(st), func() {
-		m.Trace.Record(trace.StageTransit, "wire", t0, c.Eng.Now())
+		m.Ctx.rec.Trace.Record(trace.StageTransit, "wire", t0, c.Eng.Now())
 		target.tcpIn.TryPut(m)
 	})
 }
@@ -321,12 +318,12 @@ func (c *Cluster) tcpShip(target *Function, d mempool.Descriptor, st transport.S
 // the receiving tenant's pool and releases the foreign buffer — tenants
 // never share memory (§3.1).
 func (c *Cluster) deliver(pr *sim.Proc, f *Function, d mempool.Descriptor) {
-	if d.Tenant != "" && d.Tenant != f.tenant {
+	if d.Tenant != 0 && d.Tenant != f.tenant {
 		srcPool := f.node.pool(d.Tenant)
-		sp := d.Trace.Begin(trace.StageSidecar, f.name)
+		sp := d.Trace().Begin(trace.StageSidecar, f.name)
 		f.core.Exec(pr, c.P.MemcpyBase+params.Bytes(c.P.MemcpyPerByteCached, d.Len))
 		sp.End()
-		buf, err := c.getBufferRetry(pr, f.node.pool(f.tenant), f.owner)
+		buf, err := c.getBufferRetry(pr, f.pool, f.owner)
 		if err != nil {
 			_ = srcPool.Put(d.Buf, f.owner)
 			return
@@ -338,13 +335,13 @@ func (c *Cluster) deliver(pr *sim.Proc, f *Function, d mempool.Descriptor) {
 		d.Tenant = f.tenant
 		c.crossTenantCopies++
 	}
-	mc, ok := d.Ctx.(*msgCtx)
+	mc, ok := d.Ctx().(*msgCtx)
 	if !ok {
 		panic(fmt.Sprintf("core: %s received descriptor without context", f.name))
 	}
 	switch mc.Kind {
 	case kindRequest:
-		d.Trace.BeginStage(trace.StageFnQueue, f.name)
+		d.Trace().BeginStage(trace.StageFnQueue, f.name)
 		f.inbox.TryPut(d)
 	case kindResponse:
 		cc := mc.Call
@@ -354,7 +351,7 @@ func (c *Cluster) deliver(pr *sim.Proc, f *Function, d mempool.Descriptor) {
 		if cc.decided {
 			// A retry duplicate, or an answer to a call already failed as
 			// dropped: nobody waits for it.
-			if err := f.node.pool(f.tenant).Put(d.Buf, f.owner); err != nil {
+			if err := f.pool.Put(d.Buf, f.owner); err != nil {
 				panic(fmt.Sprintf("core: %s late response recycle: %v", f.name, err))
 			}
 			return

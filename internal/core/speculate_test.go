@@ -92,7 +92,7 @@ func specConservationRun(t *testing.T, pol speculate.Policy) (*Cluster, []int) {
 	}
 	inuse := make([]int, 0, len(c.cfg.Nodes))
 	for _, node := range c.cfg.Nodes {
-		inuse = append(inuse, c.nodes[node].pool(c.cfg.Tenant).InUse())
+		inuse = append(inuse, c.Pool(node, c.cfg.Tenant).InUse())
 	}
 	return c, inuse
 }

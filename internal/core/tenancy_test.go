@@ -142,7 +142,7 @@ func TestTenantPoolsAreIsolated(t *testing.T) {
 	c := NewCluster(multiTenantConfig(NadinoDNE))
 	defer c.Eng.Stop()
 	n := c.nodes["node1"]
-	if n.pool("tenant_a") == n.pool("tenant_b") {
+	if c.Pool("node1", "tenant_a") == c.Pool("node1", "tenant_b") {
 		t.Fatal("tenants share a pool")
 	}
 	// The registry rejects cross-tenant attachment.

@@ -12,6 +12,7 @@ import (
 	"nadino/internal/ingress"
 	"nadino/internal/mempool"
 	"nadino/internal/sim"
+	"nadino/internal/trace"
 )
 
 // System identifies a serverless data plane design.
@@ -163,8 +164,8 @@ type callCtx struct {
 	decided bool
 }
 
-// fail wakes the caller with the zero descriptor (no Ctx): a layer dropped
-// the call or its response, so no answer will ever come.
+// fail wakes the caller with the zero descriptor (no side record): a layer
+// dropped the call or its response, so no answer will ever come.
 func (cc *callCtx) fail() {
 	if !cc.decided {
 		cc.decided = true
@@ -211,14 +212,25 @@ func (rc *reqCtx) settle() {
 	}
 }
 
-// msgCtx is the Ctx payload carried by every descriptor in the cluster.
+// msgCtx is the request context carried by every descriptor in the
+// cluster. It embeds the descriptor's side record, whose Ctx points back at
+// the msgCtx, so a message costs one allocation for both.
 type msgCtx struct {
+	rec  mempool.Req
 	Kind msgKind
 	Req  *reqCtx  // kindRequest
 	Call *callCtx // kindResponse: where the waiting caller parks
 	// IngressDone set on responses headed back to the ingress.
 	IngressDone func(ingress.Response)
 	Stamp       time.Duration
+}
+
+// record fills mc's side record — mc itself as the context, the request
+// trace, the speculation probe (nil on unspeculated legs) — and returns it
+// for Descriptor.Req. Call once, before the first descriptor leaves.
+func (mc *msgCtx) record(tr *trace.Req, spec func() bool) *mempool.Req {
+	mc.rec = mempool.Req{Ctx: mc, Trace: tr, Spec: spec}
+	return &mc.rec
 }
 
 // Dropped implements mempool.DropNotifier. A layer gave the descriptor up

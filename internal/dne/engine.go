@@ -82,8 +82,8 @@ type Config struct {
 
 // tenantState is per-tenant engine state.
 type tenantState struct {
-	name   string
-	id     int32 // dense index into Engine.tenantSeq (interned at AddTenant)
+	name   mempool.Name
+	id     int32 // registration index into Engine.tenantSeq (flight-recorder tenant id)
 	weight int
 	pool   *mempool.Pool
 	mr     *rdma.MR
@@ -113,28 +113,24 @@ type Engine struct {
 	cq     *rdma.CQ
 	work   *sim.Signal
 
-	// The map fields support lookup; the *Seq slices preserve insertion
-	// order for iteration, because Go map iteration order is randomized and
-	// any map-ordered walk on the simulation path would make runs
-	// nondeterministic.
-	tenants   map[string]*tenantState
+	// Routing state (§3.2), indexed by the descriptor's interned tenant
+	// and destination names, so the per-request TX/RX path does slice
+	// indexing, never a string-map lookup. The *Seq slices preserve
+	// registration order for iteration: a walk ordered by Name values or
+	// map order would make runs nondeterministic.
+	tenants   mempool.NameTable[*tenantState]
 	tenantSeq []*tenantState
-	ports     map[string]*FnPort
+	ports     mempool.NameTable[*FnPort]
 	portSeq   []*FnPort
-	pools     map[fabric.NodeID]map[string]*rdma.ConnPool
-	poolSeq   []*rdma.ConnPool
-
-	// Interned routing state (§3.2, fast path): tenant and function names
-	// resolve to dense IDs at registration time, so the per-request TX/RX
-	// path does slice indexing instead of string-map lookups. Descriptors
-	// carry the IDs as +1-offset hints (zero = unresolved, fall back to the
-	// maps above). IDs are engine-local and never cross the wire.
-	fnIDs     map[string]int32
-	routeByFn []int32 // fn ID -> node index, -1 = no route
+	routes    mempool.NameTable[int32] // fn -> node index + 1; 0 = no route
 	nodeIDs   map[fabric.NodeID]int32
 	nodeNames []fabric.NodeID
-	poolByNT  [][]*rdma.ConnPool // [node index][tenant ID]
-	limitByID []*tokenBucket     // tenant ID -> rate limit (nil = none)
+	pools     []mempool.NameTable[*rdma.ConnPool] // [node index][tenant]
+	poolSeq   []*rdma.ConnPool
+	// limits holds optional per-tenant token-bucket rate limits enforced
+	// in the TX stage (the kind of workload-specific policy §4.2 says
+	// operators can drop into the DNE); nil = none.
+	limits mempool.NameTable[*tokenBucket]
 
 	// Precomputed owner/actor strings (these were per-message concats).
 	rqOwner    mempool.Owner
@@ -160,11 +156,6 @@ type Engine struct {
 	sched     Scheduler
 	dwrrSched *DWRR
 	prioSched *Priority
-
-	// limits holds optional per-tenant token-bucket rate limits enforced
-	// in the TX stage (the kind of workload-specific policy §4.2 says
-	// operators can drop into the DNE).
-	limits map[string]*tokenBucket
 
 	txCount, rxCount uint64
 	dropNoRoute      uint64
@@ -210,11 +201,6 @@ func New(eng *sim.Engine, p *params.Params, cfg Config, d *dpu.DPU, hostCore, ho
 		rnic:       d.RNIC(),
 		cq:         rdma.NewCQ(eng),
 		work:       sim.NewSignal(eng),
-		tenants:    make(map[string]*tenantState),
-		limits:     make(map[string]*tokenBucket),
-		ports:      make(map[string]*FnPort),
-		pools:      make(map[fabric.NodeID]map[string]*rdma.ConnPool),
-		fnIDs:      make(map[string]int32),
 		nodeIDs:    make(map[fabric.NodeID]int32),
 		rqOwner:    ownerRQ(cfg.Node),
 		engOwner:   OwnerEngine(cfg.Node),
@@ -302,11 +288,12 @@ func (e *Engine) KeeperCore() *sim.Processor { return e.keeper }
 // AddTenant maps a tenant's host pool into the engine: the cross-processor
 // mmap (§3.4.2) plus SRQ creation. weight feeds the DWRR scheduler.
 func (e *Engine) AddTenant(tenant string, pool *mempool.Pool, weight int) *rdma.SRQ {
-	if _, ok := e.tenants[tenant]; ok {
+	name := mempool.Intern(tenant)
+	if e.tenants.Get(name) != nil {
 		panic(fmt.Sprintf("dne: tenant %q already added", tenant))
 	}
 	ts := &tenantState{
-		name:    tenant,
+		name:    name,
 		id:      int32(len(e.tenantSeq)),
 		weight:  weight,
 		pool:    pool,
@@ -315,18 +302,9 @@ func (e *Engine) AddTenant(tenant string, pool *mempool.Pool, weight int) *rdma.
 		TxMeter: metrics.NewMeter(),
 		RxMeter: metrics.NewMeter(),
 	}
-	e.tenants[tenant] = ts
+	e.tenants.Set(name, ts)
 	e.tenantSeq = append(e.tenantSeq, ts)
-	e.limitByID = append(e.limitByID, nil)
-	for i := range e.poolByNT {
-		e.poolByNT[i] = append(e.poolByNT[i], nil)
-	}
-	if e.dwrrSched != nil {
-		e.dwrrSched.SetWeight(tenant, weight)
-	}
-	if e.prioSched != nil {
-		e.prioSched.SetWeight(tenant, weight)
-	}
+	e.setWeight(ts)
 	return ts.srq
 }
 
@@ -335,18 +313,23 @@ func (e *Engine) AddTenant(tenant string, pool *mempool.Pool, weight int) *rdma.
 // AddTenant). Reports whether the tenant exists; engines without a weighted
 // scheduler accept the call as a recorded no-op.
 func (e *Engine) SetTenantWeight(tenant string, weight int) bool {
-	ts, ok := e.tenants[tenant]
-	if !ok {
+	ts := e.tenants.Get(mempool.Intern(tenant))
+	if ts == nil {
 		return false
 	}
 	ts.weight = weight
+	e.setWeight(ts)
+	return true
+}
+
+// setWeight pushes ts's weight into the weighted scheduler, if any.
+func (e *Engine) setWeight(ts *tenantState) {
 	if e.dwrrSched != nil {
-		e.dwrrSched.SetWeight(tenant, weight)
+		e.dwrrSched.SetWeight(ts.name, ts.weight)
 	}
 	if e.prioSched != nil {
-		e.prioSched.SetWeight(tenant, weight)
+		e.prioSched.SetWeight(ts.name, ts.weight)
 	}
-	return true
 }
 
 // SetFlightRecorder routes this engine's drop events into r (nil detaches).
@@ -358,15 +341,14 @@ func (e *Engine) SetFlightRecorder(r *flightrec.Recorder) {
 }
 
 // frDrop records one dropped descriptor in the flight recorder: A is the
-// tenant's dense id (-1 when unknown), B the payload bytes. Drop paths are
-// rare by construction, so the extra tenant resolve costs nothing in
-// steady state.
+// tenant's registration index (-1 when unknown; never the Name value, which
+// varies from run to run), B the payload bytes.
 func (e *Engine) frDrop(k flightrec.Kind, d *mempool.Descriptor) {
 	if e.rec == nil {
 		return
 	}
 	var tid int64 = -1
-	if ts := e.tenantOf(d); ts != nil {
+	if ts := e.tenants.Get(d.Tenant); ts != nil {
 		tid = int64(ts.id)
 	}
 	e.rec.Record(k, e.recActor, tid, int64(d.Len))
@@ -374,7 +356,7 @@ func (e *Engine) frDrop(k flightrec.Kind, d *mempool.Descriptor) {
 
 // Tenant returns a tenant's meters for experiment plumbing.
 func (e *Engine) Tenant(tenant string) (tx, rx *metrics.Meter) {
-	ts := e.tenants[tenant]
+	ts := e.tenants.Get(mempool.Intern(tenant))
 	if ts == nil {
 		return nil, nil
 	}
@@ -382,22 +364,11 @@ func (e *Engine) Tenant(tenant string) (tx, rx *metrics.Meter) {
 }
 
 // SRQ returns a tenant's shared receive queue.
-func (e *Engine) SRQ(tenant string) *rdma.SRQ { return e.tenants[tenant].srq }
+func (e *Engine) SRQ(tenant string) *rdma.SRQ { return e.tenants.Get(mempool.Intern(tenant)).srq }
 
 // InitialRQ reports the receive-ring depth the keeper keeps posted per
 // tenant.
 func (e *Engine) InitialRQ() int { return e.cfg.InitialRQ }
-
-// internFn returns fn's dense ID, assigning one on first use.
-func (e *Engine) internFn(fn string) int32 {
-	id, ok := e.fnIDs[fn]
-	if !ok {
-		id = int32(len(e.routeByFn))
-		e.fnIDs[fn] = id
-		e.routeByFn = append(e.routeByFn, -1)
-	}
-	return id
-}
 
 // internNode returns node's dense index, assigning one on first use.
 func (e *Engine) internNode(node fabric.NodeID) int32 {
@@ -406,7 +377,7 @@ func (e *Engine) internNode(node fabric.NodeID) int32 {
 		idx = int32(len(e.nodeNames))
 		e.nodeIDs[node] = idx
 		e.nodeNames = append(e.nodeNames, node)
-		e.poolByNT = append(e.poolByNT, make([]*rdma.ConnPool, len(e.tenantSeq)))
+		e.pools = append(e.pools, mempool.NameTable[*rdma.ConnPool]{})
 	}
 	return idx
 }
@@ -414,27 +385,23 @@ func (e *Engine) internNode(node fabric.NodeID) int32 {
 // SetRoute declares that function fn runs on node (the inter-node routing
 // table of §3.2).
 func (e *Engine) SetRoute(fn string, node fabric.NodeID) {
-	e.routeByFn[e.internFn(fn)] = e.internNode(node)
+	e.routes.Set(mempool.Intern(fn), e.internNode(node)+1)
 }
 
 // AddConnPool installs an established RC connection pool toward remote for
 // tenant.
 func (e *Engine) AddConnPool(remote fabric.NodeID, tenant string, cp *rdma.ConnPool) {
-	m, ok := e.pools[remote]
-	if !ok {
-		m = make(map[string]*rdma.ConnPool)
-		e.pools[remote] = m
-	}
-	m[tenant] = cp
+	e.pools[e.internNode(remote)].Set(mempool.Intern(tenant), cp)
 	e.poolSeq = append(e.poolSeq, cp)
-	if ts := e.tenants[tenant]; ts != nil {
-		e.poolByNT[e.internNode(remote)][ts.id] = cp
-	}
 }
 
 // ConnPool returns the pool toward remote for tenant (nil if absent).
 func (e *Engine) ConnPool(remote fabric.NodeID, tenant string) *rdma.ConnPool {
-	return e.pools[remote][tenant]
+	idx, ok := e.nodeIDs[remote]
+	if !ok {
+		return nil
+	}
+	return e.pools[idx].Get(mempool.Intern(tenant))
 }
 
 // ConnPools exposes every installed pool in insertion order (chaos hooks
@@ -445,18 +412,18 @@ func (e *Engine) ConnPools() []*rdma.ConnPool { return e.poolSeq }
 // the engine: a Comch endpoint for the DPU-hosted engine, an SK_MSG socket
 // pair for the CPU-hosted CNE.
 func (e *Engine) AttachFunction(fn, tenant string) *FnPort {
-	if _, ok := e.ports[fn]; ok {
+	name := mempool.Intern(fn)
+	if e.ports.Get(name) != nil {
 		panic(fmt.Sprintf("dne: function %q already attached", fn))
 	}
-	e.internFn(fn)
-	fp := &FnPort{fn: fn, tenant: tenant, engine: e}
+	fp := &FnPort{fn: fn, tenant: mempool.Intern(tenant), owner: mempool.Owner(fn), engine: e}
 	if e.cfg.Loc == OnDPU {
-		fp.comch = dpu.NewEndpoint(e.eng, e.p, e.cfg.Channel, len(e.ports), fn, tenant, e.work)
+		fp.comch = dpu.NewEndpoint(e.eng, e.p, e.cfg.Channel, len(e.portSeq), fn, tenant, e.work)
 	} else {
 		fp.toEngine = ipc.NewSKMsg(e.eng, e.p, e.work)
 		fp.toFn = ipc.NewSKMsg(e.eng, e.p, nil)
 	}
-	e.ports[fn] = fp
+	e.ports.Set(name, fp)
 	e.portSeq = append(e.portSeq, fp)
 	return fp
 }
@@ -554,7 +521,7 @@ func (e *Engine) workerLoop(pr *sim.Proc) {
 					break
 				}
 				if cost > 0 {
-					sp := d.Trace.Begin(trace.StageDNEIngest, e.actorLabel)
+					sp := d.Trace().Begin(trace.StageDNEIngest, e.actorLabel)
 					e.worker.Exec(pr, cost)
 					sp.End()
 				}
@@ -573,7 +540,7 @@ func (e *Engine) workerLoop(pr *sim.Proc) {
 			if !ok {
 				break
 			}
-			d.Trace.EndStage(trace.StageDNESched)
+			d.Trace().EndStage(trace.StageDNESched)
 			e.txOne(pr, d)
 			did = true
 		}
@@ -586,15 +553,6 @@ func (e *Engine) workerLoop(pr *sim.Proc) {
 	}
 }
 
-// tenantOf resolves a descriptor's tenant state: slice indexing via the
-// interned hint when present, map fallback otherwise.
-func (e *Engine) tenantOf(d *mempool.Descriptor) *tenantState {
-	if d.TenantID > 0 {
-		return e.tenantSeq[d.TenantID-1]
-	}
-	return e.tenants[d.Tenant]
-}
-
 // deferRateLimited holds a descriptor that exceeded its tenant's rate limit
 // until the bucket refills, then feeds it back through the scheduler. Kept
 // out of txOne so its closure (which captures d) only heap-allocates the
@@ -604,51 +562,39 @@ func (e *Engine) deferRateLimited(b *tokenBucket, d mempool.Descriptor) {
 	wait := b.eta(e.eng.Now())
 	// The rate-limit hold reads as scheduler time: open the span now,
 	// before the timed re-enqueue, so the wait is attributed.
-	d.Trace.BeginStage(trace.StageDNESched, e.actorLabel)
+	d.Trace().BeginStage(trace.StageDNESched, e.actorLabel)
 	e.eng.After(wait, func() {
-		e.sched.Enqueue(d.Tenant, d)
+		e.sched.Enqueue(d)
 		e.work.Pulse()
 	})
 }
 
-// txOne runs one descriptor through the TX stage. Routing runs on the
-// interned fast path: tenant and destination resolve by dense ID (slice
-// indexing) when the descriptor carries hints, with the string maps as the
-// slow-path fallback for hintless callers.
+// txOne runs one descriptor through the TX stage. Tenant, rate limit,
+// route and connection pool all resolve by indexing tables with the
+// descriptor's interned names.
 func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
-	if d.Spec != nil && d.Spec() {
+	if d.SpecKilled() {
 		// A speculative clone whose group already completed elsewhere:
 		// kill it at the TX gate, before it spends engine work or a WR.
 		// The buffer returns to the tenant pool here; the DWRR credit it
 		// consumed stays spent (cloning still pays for its queue slot).
 		now := e.eng.Now()
-		d.Trace.Record(trace.StageSpecCancel, e.actorLabel, now, now)
+		d.Trace().Record(trace.StageSpecCancel, e.actorLabel, now, now)
 		e.specDrops++
 		e.frDrop(flightrec.KindSpecCancel, &d)
 		e.releaseBuffer(d)
 		return
 	}
-	ts := e.tenantOf(&d)
-	var b *tokenBucket
-	if ts != nil {
-		b = e.limitByID[ts.id]
-	} else {
-		b = e.limits[d.Tenant]
-	}
-	if b != nil && !b.take(e.eng.Now()) {
+	ts := e.tenants.Get(d.Tenant)
+	if b := e.limits.Get(d.Tenant); b != nil && !b.take(e.eng.Now()) {
 		// Out-of-line so the re-enqueue closure doesn't force d to escape
 		// to the heap on the (closure-free) fast path below.
 		e.deferRateLimited(b, d)
 		return
 	}
-	sp := d.Trace.Begin(trace.StageDNETx, e.actorLabel)
+	sp := d.Trace().Begin(trace.StageDNETx, e.actorLabel)
 	e.worker.Exec(pr, e.p.DNETxCost+e.perMsgExtra())
-	nodeIdx := int32(-1)
-	if d.DstID > 0 {
-		nodeIdx = e.routeByFn[d.DstID-1]
-	} else if id, ok := e.fnIDs[d.Dst]; ok {
-		nodeIdx = e.routeByFn[id]
-	}
+	nodeIdx := e.routes.Get(d.Dst) - 1
 	if nodeIdx < 0 {
 		e.dropNoRoute++
 		e.frDrop(flightrec.KindDropNoRoute, &d)
@@ -672,12 +618,7 @@ func (e *Engine) txOne(pr *sim.Proc, d mempool.Descriptor) {
 			return
 		}
 	}
-	var cp *rdma.ConnPool
-	if ts != nil {
-		cp = e.poolByNT[nodeIdx][ts.id]
-	} else {
-		cp = e.pools[e.nodeNames[nodeIdx]][d.Tenant]
-	}
+	cp := e.pools[nodeIdx].Get(d.Tenant)
 	if cp == nil {
 		e.dropNoRoute++
 		e.frDrop(flightrec.KindDropNoRoute, &d)
@@ -707,14 +648,14 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 	case rdma.OpSend:
 		// Sender-side completion: recycle the source buffer.
 		e.worker.Exec(pr, e.p.VerbsPostCost/2)
-		cqe.Desc.Trace.EndStage(trace.StageRDMAAck)
+		cqe.Desc.Trace().EndStage(trace.StageRDMAAck)
 		if cqe.Status != rdma.StatusOK {
 			e.sendErrors++
 			// Transport-level failure (link loss, errored QP): retry the
 			// descriptor through the scheduler for at-least-once delivery,
 			// up to a bounded budget.
 			d := cqe.Desc
-			if d.Tenant != "" && d.Retries < 5 {
+			if d.Tenant != 0 && d.Retries < 5 {
 				d.Retries++
 				e.retriedSends++
 				e.enqueue(d)
@@ -728,16 +669,16 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 		}
 		e.releaseBuffer(cqe.Desc)
 	case rdma.OpRecv:
-		cqe.Desc.Trace.EndStage(trace.StageRDMACQ)
-		sp := cqe.Desc.Trace.Begin(trace.StageDNERx, e.actorLabel)
+		cqe.Desc.Trace().EndStage(trace.StageRDMACQ)
+		sp := cqe.Desc.Trace().Begin(trace.StageDNERx, e.actorLabel)
 		e.worker.Exec(pr, e.p.DNERxCost)
 		if e.cfg.Mode == OnPath {
 			// Data was staged in SoC memory; push it to the host pool.
 			e.socDMA.TransferBlocking(pr, cqe.Bytes)
 		}
 		d := cqe.Desc
-		fp, ok := e.ports[d.Dst]
-		if !ok {
+		fp := e.ports.Get(d.Dst)
+		if fp == nil {
 			e.dropNoPort++
 			e.frDrop(flightrec.KindDropNoPort, &d)
 			e.releaseRQBuffer(d)
@@ -745,10 +686,9 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 			d.NotifyDropped()
 			return
 		}
-		ts := e.tenantOf(&d)
-		if ts != nil {
+		if ts := e.tenants.Get(d.Tenant); ts != nil {
 			// Hand the landed buffer from the RQ owner to the function.
-			if err := ts.pool.Transfer(d.Buf, e.rqOwner, mempool.Owner(d.Dst)); err != nil {
+			if err := ts.pool.Transfer(d.Buf, e.rqOwner, fp.owner); err != nil {
 				panic(fmt.Sprintf("dne: RX ownership handoff failed: %v", err))
 			}
 			ts.RxMeter.Inc(1)
@@ -767,13 +707,14 @@ func (e *Engine) handleCQE(pr *sim.Proc, cqe rdma.CQE) {
 // twin of the OpRecv path, with the buffer arriving under the gateway's
 // owner instead of the RQ's.
 func (e *Engine) gwDeliver(pr *sim.Proc, d mempool.Descriptor) {
-	sp := d.Trace.Begin(trace.StageDNERx, e.actorLabel)
+	sp := d.Trace().Begin(trace.StageDNERx, e.actorLabel)
 	e.worker.Exec(pr, e.p.DNERxCost)
-	fp, ok := e.ports[d.Dst]
-	if !ok {
+	fp := e.ports.Get(d.Dst)
+	ts := e.tenants.Get(d.Tenant)
+	if fp == nil {
 		e.dropNoPort++
 		e.frDrop(flightrec.KindDropNoPort, &d)
-		if ts := e.tenantOf(&d); ts != nil {
+		if ts != nil {
 			if err := ts.pool.Put(d.Buf, e.gwOwner); err != nil {
 				panic(fmt.Sprintf("dne: gateway buffer recycle failed: %v", err))
 			}
@@ -782,9 +723,8 @@ func (e *Engine) gwDeliver(pr *sim.Proc, d mempool.Descriptor) {
 		d.NotifyDropped()
 		return
 	}
-	ts := e.tenantOf(&d)
 	if ts != nil {
-		if err := ts.pool.Transfer(d.Buf, e.gwOwner, mempool.Owner(d.Dst)); err != nil {
+		if err := ts.pool.Transfer(d.Buf, e.gwOwner, fp.owner); err != nil {
 			panic(fmt.Sprintf("dne: gateway RX ownership handoff failed: %v", err))
 		}
 		ts.RxMeter.Inc(1)
@@ -803,20 +743,17 @@ func (e *Engine) actor() string { return e.actorLabel }
 // enqueue feeds a descriptor to the tenant scheduler, opening its
 // scheduler-wait span (closed when the TX stage pops it).
 func (e *Engine) enqueue(d mempool.Descriptor) {
-	d.Trace.BeginStage(trace.StageDNESched, e.actorLabel)
-	e.sched.Enqueue(d.Tenant, d)
+	d.Trace().BeginStage(trace.StageDNESched, e.actorLabel)
+	e.sched.Enqueue(d)
 }
 
-// releaseBuffer recycles a buffer the engine owns after a send completes or
-// a drop occurs. Send CQEs carry no descriptor in this model, so TX-side
-// recycling happens here at post time bookkeeping: the engine owns the
-// buffer from ingest until the send completes; we recycle on the send CQE
-// via pendingTx tracking below.
+// releaseBuffer recycles a buffer the engine owns once it is done with the
+// descriptor: on the send CQE (which carries the source descriptor), on a
+// gateway forward's completion, or at a drop. The engine owns the buffer
+// from ingest until then; a buffer already handed on (to the RQ or a
+// function) is left alone.
 func (e *Engine) releaseBuffer(d mempool.Descriptor) {
-	if d.Tenant == "" {
-		return
-	}
-	ts := e.tenantOf(&d)
+	ts := e.tenants.Get(d.Tenant)
 	if ts == nil {
 		return
 	}
@@ -829,7 +766,7 @@ func (e *Engine) releaseBuffer(d mempool.Descriptor) {
 
 // releaseRQBuffer recycles an RQ-owned landed buffer on drops.
 func (e *Engine) releaseRQBuffer(d mempool.Descriptor) {
-	ts := e.tenantOf(&d)
+	ts := e.tenants.Get(d.Tenant)
 	if ts == nil {
 		return
 	}
@@ -887,7 +824,7 @@ func (e *Engine) replenish(pr *sim.Proc, ts *tenantState, n int) int {
 			break // pool pressure: retry next round
 		}
 		for i := 0; i < got; i++ {
-			e.rqDescs[i] = mempool.Descriptor{Tenant: ts.name, TenantID: ts.id + 1, Buf: e.rqBufs[i]}
+			e.rqDescs[i] = mempool.Descriptor{Tenant: ts.name, Buf: e.rqBufs[i]}
 		}
 		ts.srq.PostRecvN(e.rqDescs[:got])
 		posted += got
@@ -909,7 +846,7 @@ func (e *Engine) SchedPending() int { return e.sched.Pending() }
 // PortBacklog reports descriptors delivered to a function's channel but not
 // yet ingested by the engine loop.
 func (e *Engine) PortBacklog(fn string) int {
-	fp := e.ports[fn]
+	fp := e.ports.Get(mempool.Intern(fn))
 	if fp == nil {
 		return 0
 	}
@@ -970,15 +907,7 @@ func (e *Engine) SetRateLimit(tenant string, rps float64) {
 	if rps > 0 {
 		b = &tokenBucket{rate: rps, burst: rps / 100 * 2, tokens: rps / 100, last: e.eng.Now()}
 	}
-	if ts := e.tenants[tenant]; ts != nil {
-		e.limitByID[ts.id] = b
-		return
-	}
-	if b == nil {
-		delete(e.limits, tenant)
-		return
-	}
-	e.limits[tenant] = b
+	e.limits.Set(mempool.Intern(tenant), b)
 }
 
 // RateDeferred reports descriptors delayed by rate limits.

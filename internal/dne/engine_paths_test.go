@@ -55,7 +55,10 @@ func (r *pairRig) send(t *testing.T, pr *sim.Proc, dst string, spec func() bool)
 		t.Error(err)
 		return
 	}
-	d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 256, Src: "cli", Dst: dst, Spec: spec}
+	d := mempool.Descriptor{
+		Tenant: tenantName, Buf: buf, Len: 256, Src: cliName, Dst: mempool.Intern(dst),
+		Req: &mempool.Req{Spec: spec},
+	}
 	if err := r.portCli.Send(pr, r.coreA, d); err != nil {
 		t.Error(err)
 	}
@@ -96,7 +99,7 @@ func TestGatewayHandOff(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			r.eb.GatewayDeliver(mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 256, Src: "cli", Dst: dst})
+			r.eb.GatewayDeliver(mempool.Descriptor{Tenant: tenantName, Buf: buf, Len: 256, Src: cliName, Dst: mempool.Intern(dst)})
 		}
 		pr.Sleep(time.Millisecond)
 		if r.poolA.InUse() != baseA {
@@ -107,7 +110,7 @@ func TestGatewayHandOff(t *testing.T) {
 		}
 	})
 	r.eng.RunUntil(time.Second)
-	if len(*got) != 1 || (*got)[0].Dst != "srv" {
+	if len(*got) != 1 || (*got)[0].Dst != srvName {
 		t.Fatalf("srv received %v, want one gateway-landed descriptor", *got)
 	}
 	if _, rx, _, dnp, _ := r.eb.Stats(); rx != 1 || dnp != 1 {
@@ -159,18 +162,18 @@ func TestRateLimitDefersAndDrains(t *testing.T) {
 		t.Fatalf("burst drained in %v, want at least %v at %d req/s", *last-start, floor, rps)
 	}
 
-	ts := r.ea.tenants[rigTenant]
 	r.ea.SetRateLimit(rigTenant, 0)
-	if r.ea.limitByID[ts.id] != nil {
+	if r.ea.limits.Get(tenantName) != nil {
 		t.Fatal("rps 0 did not remove the tenant's limit")
 	}
-	// Limits on tenants the engine does not serve (yet) live in the map.
+	// Limits on tenants the engine does not serve (yet) are kept too.
+	ghost := mempool.Intern("ghost")
 	r.ea.SetRateLimit("ghost", 100)
-	if r.ea.limits["ghost"] == nil {
+	if r.ea.limits.Get(ghost) == nil {
 		t.Fatal("limit for an unregistered tenant not kept")
 	}
 	r.ea.SetRateLimit("ghost", 0)
-	if _, ok := r.ea.limits["ghost"]; ok {
+	if r.ea.limits.Get(ghost) != nil {
 		t.Fatal("rps 0 did not remove the unregistered tenant's limit")
 	}
 }

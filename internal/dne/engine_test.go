@@ -43,6 +43,13 @@ func withSched(s SchedulerKind) rigOpt {
 
 const rigTenant = "tenant_1"
 
+// Interned names of the rig's tenant and its two functions.
+var (
+	tenantName = mempool.Intern(rigTenant)
+	cliName    = mempool.Intern("cli")
+	srvName    = mempool.Intern("srv")
+)
+
 func newPairRig(t *testing.T, seed int64, p *params.Params, opts ...rigOpt) *pairRig {
 	t.Helper()
 	eng := sim.NewEngine(seed)
@@ -106,8 +113,8 @@ func (r *pairRig) spawnEchoServer(t *testing.T) {
 				return
 			}
 			out := mempool.Descriptor{
-				Tenant: rigTenant, Buf: reply, Len: d.Len,
-				Src: "srv", Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp, Ctx: d.Ctx,
+				Tenant: tenantName, Buf: reply, Len: d.Len,
+				Src: srvName, Dst: d.Src, Seq: d.Seq, Req: d.Req,
 			}
 			if err := r.poolB.Put(d.Buf, "srv"); err != nil {
 				t.Error(err)
@@ -136,8 +143,8 @@ func (r *pairRig) runEcho(t *testing.T, n, payload int) []time.Duration {
 			}
 			start := pr.Now()
 			d := mempool.Descriptor{
-				Tenant: rigTenant, Buf: buf, Len: payload,
-				Src: "cli", Dst: "srv", Seq: uint64(i), Stamp: start,
+				Tenant: tenantName, Buf: buf, Len: payload,
+				Src: cliName, Dst: srvName, Seq: uint64(i),
 			}
 			if err := r.portCli.Send(pr, r.coreA, d); err != nil {
 				t.Error(err)
@@ -233,7 +240,7 @@ func TestOnPathSlowerThanOffPathUnderLoad(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 1024, Src: fn, Dst: "srv"}
+					d := mempool.Descriptor{Tenant: tenantName, Buf: buf, Len: 1024, Src: cliName, Dst: srvName}
 					if err := r.portCli.Send(pr, r.coreA, d); err != nil {
 						t.Error(err)
 						return
@@ -269,7 +276,7 @@ func TestEngineOwnershipViolationSurfaceable(t *testing.T) {
 	r.eng.Spawn("cli", func(pr *sim.Proc) {
 		r.ready.Get(pr)
 		buf, _ := r.poolA.Get("someone-else")
-		d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Src: "cli", Dst: "srv"}
+		d := mempool.Descriptor{Tenant: tenantName, Buf: buf, Len: 64, Src: cliName, Dst: srvName}
 		sendErr = r.portCli.Send(pr, r.coreA, d)
 	})
 	r.eng.RunUntil(time.Second)
@@ -327,7 +334,7 @@ func TestEngineDropsUnroutableDescriptors(t *testing.T) {
 		inUse := r.poolA.InUse()
 		// Unknown destination: no route at all.
 		buf, _ := r.poolA.Get("cli")
-		d := mempool.Descriptor{Tenant: rigTenant, Buf: buf, Len: 64, Src: "cli", Dst: "ghost"}
+		d := mempool.Descriptor{Tenant: tenantName, Buf: buf, Len: 64, Src: cliName, Dst: mempool.Intern("ghost")}
 		sendErr = r.portCli.Send(pr, r.coreA, d)
 		pr.Sleep(5 * time.Millisecond)
 		if got := r.poolA.InUse(); got != inUse {

@@ -57,8 +57,8 @@ func TestEngineRecoversFromLinkBlip(t *testing.T) {
 				id := seq
 				waiters[id] = respQ
 				d := mempool.Descriptor{
-					Tenant: rigTenant, Buf: buf, Len: 1024,
-					Src: "cli", Dst: "srv", Seq: id,
+					Tenant: tenantName, Buf: buf, Len: 1024,
+					Src: cliName, Dst: srvName, Seq: id,
 				}
 				if err := r.portCli.Send(pr, r.coreA, d); err != nil {
 					t.Error(err)
@@ -147,8 +147,8 @@ func TestKeeperRepaysReplenishDebt(t *testing.T) {
 				return
 			}
 			d := mempool.Descriptor{
-				Tenant: rigTenant, Buf: buf, Len: 1024,
-				Src: "cli", Dst: "srv", Seq: uint64(i),
+				Tenant: tenantName, Buf: buf, Len: 1024,
+				Src: cliName, Dst: srvName, Seq: uint64(i),
 			}
 			if err := r.portCli.Send(pr, r.coreA, d); err != nil {
 				t.Error(err)

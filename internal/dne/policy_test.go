@@ -8,13 +8,13 @@ import (
 
 func TestPrioritySchedulerStrictOrdering(t *testing.T) {
 	s := NewPriority()
-	s.SetWeight("gold", 10)
-	s.SetWeight("bronze", 1)
-	s.SetWeight("silver", 5)
+	s.SetWeight(mempool.Intern("gold"), 10)
+	s.SetWeight(mempool.Intern("bronze"), 1)
+	s.SetWeight(mempool.Intern("silver"), 5)
 	for i := 0; i < 3; i++ {
-		s.Enqueue("bronze", mempool.Descriptor{Tenant: "bronze", Seq: uint64(i)})
-		s.Enqueue("gold", mempool.Descriptor{Tenant: "gold", Seq: uint64(i)})
-		s.Enqueue("silver", mempool.Descriptor{Tenant: "silver", Seq: uint64(i)})
+		s.Enqueue(mempool.Descriptor{Tenant: mempool.Intern("bronze"), Seq: uint64(i)})
+		s.Enqueue(mempool.Descriptor{Tenant: mempool.Intern("gold"), Seq: uint64(i)})
+		s.Enqueue(mempool.Descriptor{Tenant: mempool.Intern("silver"), Seq: uint64(i)})
 	}
 	var got []string
 	for {
@@ -22,7 +22,7 @@ func TestPrioritySchedulerStrictOrdering(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, d.Tenant)
+		got = append(got, d.Tenant.String())
 	}
 	want := []string{"gold", "gold", "gold", "silver", "silver", "silver", "bronze", "bronze", "bronze"}
 	if len(got) != len(want) {
@@ -40,8 +40,8 @@ func TestPrioritySchedulerStrictOrdering(t *testing.T) {
 
 func TestPriorityUnknownTenantStillServed(t *testing.T) {
 	s := NewPriority()
-	s.Enqueue("walkin", mempool.Descriptor{Tenant: "walkin"})
-	if d, ok := s.Next(); !ok || d.Tenant != "walkin" {
+	s.Enqueue(mempool.Descriptor{Tenant: mempool.Intern("walkin")})
+	if d, ok := s.Next(); !ok || d.Tenant.String() != "walkin" {
 		t.Fatal("unregistered tenant lost its message")
 	}
 }

@@ -22,22 +22,17 @@ type Execer interface {
 // the RDMA data plane — the isolation boundary of §3.3.
 type FnPort struct {
 	fn     string
-	tenant string
+	tenant mempool.Name
+	owner  mempool.Owner // the function's buffer-owner tag
 	engine *Engine
 
 	comch    *dpu.Endpoint
 	toEngine *ipc.SKMsg // fn -> CNE
 	toFn     *ipc.SKMsg // CNE -> fn
 
-	// Send fast-path caches: the resolved tenant state (lazily bound, since
-	// tenants may register after AttachFunction), the function's owner
-	// string, and a single-entry destination-ID memo — echo-style traffic
-	// sends to one destination, so the memo turns the per-request fn-ID
-	// lookup into two comparisons.
-	ts        *tenantState
-	fnOwner   mempool.Owner
-	memoDst   string
-	memoDstID int32
+	// ts caches the resolved tenant state, bound lazily on the first send
+	// since tenants may register after AttachFunction.
+	ts *tenantState
 }
 
 // Fn reports the attached function's ID.
@@ -51,26 +46,16 @@ func (fp *FnPort) Send(pr *sim.Proc, core Execer, d mempool.Descriptor) error {
 	d.Tenant = fp.tenant
 	ts := fp.ts
 	if ts == nil {
-		ts = fp.engine.tenants[fp.tenant]
+		ts = fp.engine.tenants.Get(fp.tenant)
 		if ts == nil {
 			return fmt.Errorf("dne: tenant %q not registered with engine", fp.tenant)
 		}
 		fp.ts = ts
-		fp.fnOwner = mempool.Owner(fp.fn)
 	}
-	d.TenantID = ts.id + 1
-	if d.Dst == fp.memoDst {
-		d.DstID = fp.memoDstID
-	} else if id, ok := fp.engine.fnIDs[d.Dst]; ok {
-		d.DstID = id + 1
-		fp.memoDst, fp.memoDstID = d.Dst, id+1
-	} else {
-		d.DstID = 0
-	}
-	if err := ts.pool.Transfer(d.Buf, fp.fnOwner, fp.engine.engOwner); err != nil {
+	if err := ts.pool.Transfer(d.Buf, fp.owner, fp.engine.engOwner); err != nil {
 		return err
 	}
-	sp := d.Trace.Begin(trace.StagePortSend, fp.fn)
+	sp := d.Trace().Begin(trace.StagePortSend, fp.fn)
 	if fp.comch != nil {
 		core.Exec(pr, fp.comch.SendCost())
 		sp.End()
@@ -89,7 +74,7 @@ func (fp *FnPort) Send(pr *sim.Proc, core Execer, d mempool.Descriptor) error {
 func (fp *FnPort) Recv(pr *sim.Proc, core Execer) mempool.Descriptor {
 	if fp.comch != nil {
 		d := fp.comch.RecvOnHost(pr)
-		sp := d.Trace.Begin(trace.StagePortRecv, fp.fn)
+		sp := d.Trace().Begin(trace.StagePortRecv, fp.fn)
 		if c := fp.comch.HostWakeupCost(); c > 0 {
 			core.Exec(pr, c)
 		}
@@ -97,7 +82,7 @@ func (fp *FnPort) Recv(pr *sim.Proc, core Execer) mempool.Descriptor {
 		return d
 	}
 	d := fp.toFn.Recv(pr)
-	sp := d.Trace.Begin(trace.StagePortRecv, fp.fn)
+	sp := d.Trace().Begin(trace.StagePortRecv, fp.fn)
 	core.Exec(pr, fp.toFn.WakeupCost())
 	sp.End()
 	return d
@@ -125,7 +110,7 @@ func (fp *FnPort) engineSidePull() (mempool.Descriptor, time.Duration, bool) {
 		if !ok {
 			return mempool.Descriptor{}, 0, false
 		}
-		return d, fp.comch.DNERecvCost(len(fp.engine.ports)), true
+		return d, fp.comch.DNERecvCost(len(fp.engine.portSeq)), true
 	}
 	// Interrupt pressure scales with how loaded the engine already is:
 	// each SK_MSG arrival preempts in-progress engine work (softirq,

@@ -26,10 +26,11 @@ const (
 	SchedFCFS
 )
 
-// Scheduler orders tenant traffic for the TX stage.
+// Scheduler orders tenant traffic for the TX stage. Tenants are keyed by
+// the descriptor's interned Tenant name.
 type Scheduler interface {
 	// Enqueue adds a descriptor to its tenant's queue.
-	Enqueue(tenant string, d mempool.Descriptor)
+	Enqueue(d mempool.Descriptor)
 	// Next removes the next descriptor to transmit.
 	Next() (mempool.Descriptor, bool)
 	// Pending reports queued descriptors across tenants.
@@ -44,7 +45,7 @@ type fcfs struct {
 // NewFCFS returns the no-isolation baseline scheduler.
 func NewFCFS() Scheduler { return &fcfs{} }
 
-func (s *fcfs) Enqueue(_ string, d mempool.Descriptor) { s.q.PushBack(d) }
+func (s *fcfs) Enqueue(d mempool.Descriptor) { s.q.PushBack(d) }
 
 func (s *fcfs) Next() (mempool.Descriptor, bool) {
 	if s.q.Len() == 0 {
@@ -57,7 +58,6 @@ func (s *fcfs) Pending() int { return s.q.Len() }
 
 // dwrrQueue is one tenant's state in the DWRR scheduler.
 type dwrrQueue struct {
-	tenant  string
 	weight  int
 	deficit int
 	granted bool // quantum granted for the current turn
@@ -69,14 +69,9 @@ type dwrrQueue struct {
 // tenant exceed its share.
 type dwrr struct {
 	quantumUnit int // bytes of quantum per unit weight per round
-	queues      map[string]*dwrrQueue
+	queues      mempool.NameTable[*dwrrQueue]
 	active      ring.Deque[*dwrrQueue] // round-robin ring of backlogged tenants
 	pending     int
-
-	// Single-entry Enqueue memo: per-tenant workloads enqueue runs of the
-	// same tenant, so remembering the last queue skips the map lookup.
-	memoTenant string
-	memoQ      *dwrrQueue
 }
 
 // NewDWRR returns NADINO's weighted fair scheduler. quantumUnit is the
@@ -84,7 +79,7 @@ type dwrr struct {
 // the largest message size divided by the smallest weight to keep per-round
 // progress positive.
 func NewDWRR(quantumUnit int) *DWRR {
-	return &DWRR{dwrr{quantumUnit: quantumUnit, queues: make(map[string]*dwrrQueue)}}
+	return &DWRR{dwrr{quantumUnit: quantumUnit}}
 }
 
 // DWRR is the exported handle for the weighted scheduler (so callers can
@@ -94,7 +89,7 @@ type DWRR struct {
 }
 
 // SetWeight registers or updates a tenant's weight (default 1).
-func (s *DWRR) SetWeight(tenant string, weight int) {
+func (s *DWRR) SetWeight(tenant mempool.Name, weight int) {
 	if weight <= 0 {
 		panic("dne: non-positive DWRR weight")
 	}
@@ -102,22 +97,18 @@ func (s *DWRR) SetWeight(tenant string, weight int) {
 	q.weight = weight
 }
 
-func (s *dwrr) queue(tenant string) *dwrrQueue {
-	q, ok := s.queues[tenant]
-	if !ok {
-		q = &dwrrQueue{tenant: tenant, weight: 1}
-		s.queues[tenant] = q
+func (s *dwrr) queue(tenant mempool.Name) *dwrrQueue {
+	q := s.queues.Get(tenant)
+	if q == nil {
+		q = &dwrrQueue{weight: 1}
+		s.queues.Set(tenant, q)
 	}
 	return q
 }
 
 // Enqueue implements Scheduler.
-func (s *dwrr) Enqueue(tenant string, d mempool.Descriptor) {
-	q := s.memoQ
-	if q == nil || tenant != s.memoTenant {
-		q = s.queue(tenant)
-		s.memoTenant, s.memoQ = tenant, q
-	}
+func (s *dwrr) Enqueue(d mempool.Descriptor) {
+	q := s.queue(d.Tenant)
 	if q.q.Len() == 0 {
 		q.deficit = 0
 		s.active.PushBack(q)
@@ -183,22 +174,21 @@ func (s *dwrr) Pending() int { return s.pending }
 // latency-tier policy a platform might pair with DWRR).
 const SchedPriority SchedulerKind = 2
 
+// prioQueue is one tenant's queue in the strict-priority scheduler.
+type prioQueue struct {
+	weight int
+	q      ring.Deque[mempool.Descriptor]
+}
+
 // priority implements strict-priority scheduling across tenant queues.
 type priority struct {
-	weights map[string]int
-	queues  map[string]*ring.Deque[mempool.Descriptor]
-	order   []string                          // tenants sorted by descending weight, stable
-	ordered []*ring.Deque[mempool.Descriptor] // queues in order[] sequence
+	queues  mempool.NameTable[*prioQueue]
+	ordered []*prioQueue // descending weight, FIFO among equals
 	pending int
 }
 
 // NewPriority returns a strict-priority scheduler.
-func NewPriority() *Priority {
-	return &Priority{priority{
-		weights: make(map[string]int),
-		queues:  make(map[string]*ring.Deque[mempool.Descriptor]),
-	}}
-}
+func NewPriority() *Priority { return &Priority{} }
 
 // Priority is the exported handle for the strict-priority scheduler.
 type Priority struct {
@@ -206,54 +196,46 @@ type Priority struct {
 }
 
 // SetWeight registers a tenant's priority (higher serves first).
-func (s *Priority) SetWeight(tenant string, weight int) {
-	if _, ok := s.weights[tenant]; !ok {
+func (s *Priority) SetWeight(tenant mempool.Name, weight int) {
+	q := s.queues.Get(tenant)
+	if q == nil {
 		// Insert keeping descending weight order; FIFO among equals.
-		idx := len(s.order)
-		for i, name := range s.order {
-			if s.weights[name] < weight {
+		q = &prioQueue{}
+		idx := len(s.ordered)
+		for i, o := range s.ordered {
+			if o.weight < weight {
 				idx = i
 				break
 			}
 		}
-		s.order = append(s.order, "")
-		copy(s.order[idx+1:], s.order[idx:])
-		s.order[idx] = tenant
 		s.ordered = append(s.ordered, nil)
 		copy(s.ordered[idx+1:], s.ordered[idx:])
-		s.ordered[idx] = s.tenantQueue(tenant)
+		s.ordered[idx] = q
+		s.queues.Set(tenant, q)
 	}
-	s.weights[tenant] = weight
+	q.weight = weight
 }
 
-func (s *priority) tenantQueue(tenant string) *ring.Deque[mempool.Descriptor] {
-	q, ok := s.queues[tenant]
-	if !ok {
-		q = &ring.Deque[mempool.Descriptor]{}
-		s.queues[tenant] = q
+// Enqueue implements Scheduler. A tenant never given a weight serves last.
+func (s *priority) Enqueue(d mempool.Descriptor) {
+	q := s.queues.Get(d.Tenant)
+	if q == nil {
+		q = &prioQueue{}
+		s.ordered = append(s.ordered, q)
+		s.queues.Set(d.Tenant, q)
 	}
-	return q
-}
-
-// Enqueue implements Scheduler.
-func (s *priority) Enqueue(tenant string, d mempool.Descriptor) {
-	if _, ok := s.weights[tenant]; !ok {
-		s.weights[tenant] = 0
-		s.order = append(s.order, tenant)
-		s.ordered = append(s.ordered, s.tenantQueue(tenant))
-	}
-	s.tenantQueue(tenant).PushBack(d)
+	q.q.PushBack(d)
 	s.pending++
 }
 
 // Next implements Scheduler: drain the highest-priority backlog first.
 func (s *priority) Next() (mempool.Descriptor, bool) {
 	for _, q := range s.ordered {
-		if q.Len() == 0 {
+		if q.q.Len() == 0 {
 			continue
 		}
 		s.pending--
-		return q.PopFront(), true
+		return q.q.PopFront(), true
 	}
 	return mempool.Descriptor{}, false
 }

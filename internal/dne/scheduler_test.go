@@ -8,14 +8,14 @@ import (
 )
 
 func desc(tenant string, size int) mempool.Descriptor {
-	return mempool.Descriptor{Tenant: tenant, Len: size}
+	return mempool.Descriptor{Tenant: mempool.Intern(tenant), Len: size}
 }
 
 func TestFCFSOrder(t *testing.T) {
 	s := NewFCFS()
-	s.Enqueue("a", mempool.Descriptor{Tenant: "a", Seq: 1})
-	s.Enqueue("b", mempool.Descriptor{Tenant: "b", Seq: 2})
-	s.Enqueue("a", mempool.Descriptor{Tenant: "a", Seq: 3})
+	s.Enqueue(mempool.Descriptor{Tenant: mempool.Intern("a"), Seq: 1})
+	s.Enqueue(mempool.Descriptor{Tenant: mempool.Intern("b"), Seq: 2})
+	s.Enqueue(mempool.Descriptor{Tenant: mempool.Intern("a"), Seq: 3})
 	var got []uint64
 	for {
 		d, ok := s.Next()
@@ -34,14 +34,14 @@ func TestFCFSOrder(t *testing.T) {
 
 func TestDWRRWeightedShares(t *testing.T) {
 	s := NewDWRR(2048)
-	s.SetWeight("t1", 6)
-	s.SetWeight("t2", 1)
-	s.SetWeight("t3", 2)
+	s.SetWeight(mempool.Intern("t1"), 6)
+	s.SetWeight(mempool.Intern("t2"), 1)
+	s.SetWeight(mempool.Intern("t3"), 2)
 	// All tenants deeply backlogged with equal-size messages.
 	for i := 0; i < 3000; i++ {
-		s.Enqueue("t1", desc("t1", 1024))
-		s.Enqueue("t2", desc("t2", 1024))
-		s.Enqueue("t3", desc("t3", 1024))
+		s.Enqueue(desc("t1", 1024))
+		s.Enqueue(desc("t2", 1024))
+		s.Enqueue(desc("t3", 1024))
 	}
 	counts := map[string]int{}
 	for i := 0; i < 1800; i++ {
@@ -49,7 +49,7 @@ func TestDWRRWeightedShares(t *testing.T) {
 		if !ok {
 			t.Fatal("scheduler ran dry while backlogged")
 		}
-		counts[d.Tenant]++
+		counts[d.Tenant.String()]++
 	}
 	total := counts["t1"] + counts["t2"] + counts["t3"]
 	shares := map[string]float64{}
@@ -68,11 +68,11 @@ func TestDWRRByteFairnessWithMixedSizes(t *testing.T) {
 	// Equal weights but one tenant sends 4x larger messages: it should get
 	// ~1/4 the message rate (equal bytes).
 	s := NewDWRR(4096)
-	s.SetWeight("small", 1)
-	s.SetWeight("big", 1)
+	s.SetWeight(mempool.Intern("small"), 1)
+	s.SetWeight(mempool.Intern("big"), 1)
 	for i := 0; i < 4000; i++ {
-		s.Enqueue("small", desc("small", 1024))
-		s.Enqueue("big", desc("big", 4096))
+		s.Enqueue(desc("small", 1024))
+		s.Enqueue(desc("big", 4096))
 	}
 	bytes := map[string]int{}
 	for i := 0; i < 2000; i++ {
@@ -80,7 +80,7 @@ func TestDWRRByteFairnessWithMixedSizes(t *testing.T) {
 		if !ok {
 			break
 		}
-		bytes[d.Tenant] += msgBytes(d)
+		bytes[d.Tenant.String()] += msgBytes(d)
 	}
 	ratio := float64(bytes["small"]) / float64(bytes["big"])
 	if ratio < 0.8 || ratio > 1.25 {
@@ -92,10 +92,10 @@ func TestDWRRIdleTenantDoesNotAccumulateCredit(t *testing.T) {
 	// A tenant that was idle must not burst past its share when it joins:
 	// deficit resets when the queue empties.
 	s := NewDWRR(2048)
-	s.SetWeight("steady", 1)
-	s.SetWeight("bursty", 1)
+	s.SetWeight(mempool.Intern("steady"), 1)
+	s.SetWeight(mempool.Intern("bursty"), 1)
 	for i := 0; i < 100; i++ {
-		s.Enqueue("steady", desc("steady", 1024))
+		s.Enqueue(desc("steady", 1024))
 	}
 	for i := 0; i < 50; i++ {
 		if _, ok := s.Next(); !ok {
@@ -104,7 +104,7 @@ func TestDWRRIdleTenantDoesNotAccumulateCredit(t *testing.T) {
 	}
 	// Bursty joins late with a flood.
 	for i := 0; i < 100; i++ {
-		s.Enqueue("bursty", desc("bursty", 1024))
+		s.Enqueue(desc("bursty", 1024))
 	}
 	counts := map[string]int{}
 	for i := 0; i < 50; i++ {
@@ -112,7 +112,7 @@ func TestDWRRIdleTenantDoesNotAccumulateCredit(t *testing.T) {
 		if !ok {
 			break
 		}
-		counts[d.Tenant]++
+		counts[d.Tenant.String()]++
 	}
 	if counts["bursty"] > counts["steady"]*2 {
 		t.Fatalf("late joiner burst past its share: %v", counts)
@@ -121,9 +121,9 @@ func TestDWRRIdleTenantDoesNotAccumulateCredit(t *testing.T) {
 
 func TestDWRRSingleTenantDrains(t *testing.T) {
 	s := NewDWRR(64) // quantum smaller than messages: needs multiple rounds
-	s.SetWeight("t", 1)
+	s.SetWeight(mempool.Intern("t"), 1)
 	for i := 0; i < 10; i++ {
-		s.Enqueue("t", desc("t", 1024))
+		s.Enqueue(desc("t", 1024))
 	}
 	n := 0
 	for {
@@ -144,10 +144,10 @@ func TestDWRRConservationProperty(t *testing.T) {
 		s := NewDWRR(2048)
 		names := []string{"a", "b", "c", "d"}[:nTenants]
 		for i, w := range []int{1, 2, 3, 4}[:nTenants] {
-			s.SetWeight(names[i], w)
+			s.SetWeight(mempool.Intern(names[i]), w)
 		}
 		for i, sz := range sizes {
-			s.Enqueue(names[i%nTenants], desc(names[i%nTenants], int(sz%8192)))
+			s.Enqueue(desc(names[i%nTenants], int(sz%8192)))
 		}
 		got := 0
 		for {

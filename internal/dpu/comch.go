@@ -179,14 +179,14 @@ func (ep *Endpoint) PinsHostCore() bool { return ep.mode == ComchP }
 // own core before calling. Engine or process context.
 func (ep *Endpoint) SendToDNE(d mempool.Descriptor) {
 	ep.sentToDNE++
-	d.Trace.BeginStage(trace.StageComchH2D, "comch")
+	d.Trace().BeginStage(trace.StageComchH2D, "comch")
 	ep.eng.After(ep.deliverLatency(), ep.allocDelivery(d, false).fn)
 }
 
 // SendToHost ships a descriptor DPU -> host.
 func (ep *Endpoint) SendToHost(d mempool.Descriptor) {
 	ep.sentToHost++
-	d.Trace.BeginStage(trace.StageComchD2H, "comch")
+	d.Trace().BeginStage(trace.StageComchD2H, "comch")
 	ep.eng.After(ep.deliverLatency(), ep.allocDelivery(d, true).fn)
 }
 
@@ -194,7 +194,7 @@ func (ep *Endpoint) SendToHost(d mempool.Descriptor) {
 func (ep *Endpoint) TryRecvFromHost() (mempool.Descriptor, bool) {
 	d, ok := ep.toDNE.TryGet()
 	if ok {
-		d.Trace.EndStage(trace.StageComchH2D)
+		d.Trace().EndStage(trace.StageComchH2D)
 	}
 	return d, ok
 }
@@ -206,7 +206,7 @@ func (ep *Endpoint) PendingFromHost() int { return ep.toDNE.Len() }
 // wakeup cost is paid by the caller afterwards (it knows its core).
 func (ep *Endpoint) RecvOnHost(pr *sim.Proc) mempool.Descriptor {
 	d := ep.toHost.Get(pr)
-	d.Trace.EndStage(trace.StageComchD2H)
+	d.Trace().EndStage(trace.StageComchD2H)
 	return d
 }
 
@@ -214,7 +214,7 @@ func (ep *Endpoint) RecvOnHost(pr *sim.Proc) mempool.Descriptor {
 func (ep *Endpoint) TryRecvOnHost() (mempool.Descriptor, bool) {
 	d, ok := ep.toHost.TryGet()
 	if ok {
-		d.Trace.EndStage(trace.StageComchD2H)
+		d.Trace().EndStage(trace.StageComchD2H)
 	}
 	return d, ok
 }

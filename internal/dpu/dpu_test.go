@@ -108,7 +108,7 @@ func TestComchRoundTripLatencyOrdering(t *testing.T) {
 		eng.Spawn("fn", func(pr *sim.Proc) {
 			start := pr.Now()
 			hostCore.Exec(pr, ep.SendCost())
-			ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
+			ep.SendToDNE(mempool.Descriptor{Tenant: mempool.Intern("t")})
 			d := ep.RecvOnHost(pr)
 			hostCore.Exec(pr, ep.HostWakeupCost())
 			_ = d

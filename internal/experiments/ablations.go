@@ -40,6 +40,7 @@ func ablConnPoolPerReq(o Opts, p *params.Params) time.Duration {
 	net := fabric.New(eng, p)
 	ra := rdma.NewRNIC(eng, p, "a", net)
 	rb := rdma.NewRNIC(eng, p, "b", net)
+	tenant := mempool.Intern("t")
 	poolA := mempool.NewPool("t", 8192, 256, p.HugepageSize)
 	poolB := mempool.NewPool("t", 8192, 256, p.HugepageSize)
 	var sum time.Duration
@@ -51,9 +52,9 @@ func ablConnPoolPerReq(o Opts, p *params.Params) time.Duration {
 			cqA, cqB := rdma.NewCQ(eng), rdma.NewCQ(eng)
 			qa, qb := rdma.Connect(ra, rb, "t", nil, srqB, cqA, cqB)
 			rbuf, _ := poolB.Get("rq")
-			srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: rbuf})
+			srqB.PostRecv(mempool.Descriptor{Tenant: tenant, Buf: rbuf})
 			src, _ := poolA.Get("cli")
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024})
+			qa.PostSend(mempool.Descriptor{Tenant: tenant, Buf: src, Len: 1024})
 			cqB.Wait(pr)
 			e := cqB.Poll(1)[0]
 			_ = qb
@@ -129,6 +130,7 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 	net := fabric.New(eng, p)
 	ra := rdma.NewRNIC(eng, p, "a", net)
 	rb := rdma.NewRNIC(eng, p, "b", net)
+	victim, rogueName := mempool.Intern("victim"), mempool.Intern("rogue")
 	poolA := mempool.NewPool("victim", 8192, 512, p.HugepageSize)
 	poolB := mempool.NewPool("victim", 8192, 512, p.HugepageSize)
 	srqA, srqB := rdma.NewSRQ("victim"), rdma.NewSRQ("victim")
@@ -161,7 +163,7 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 			i := 0
 			for {
 				q := active[i%len(active)]
-				q.PostWrite(mempool.Descriptor{Tenant: "rogue", Len: 64, Buf: slot}, rdma.RemoteBuf{MR: rogueMR, Buf: slot})
+				q.PostWrite(mempool.Descriptor{Tenant: rogueName, Len: 64, Buf: slot}, rdma.RemoteBuf{MR: rogueMR, Buf: slot})
 				i++
 				pr.Sleep(2 * time.Microsecond)
 			}
@@ -175,7 +177,7 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 			if err != nil {
 				return
 			}
-			srq.PostRecv(mempool.Descriptor{Tenant: "victim", Buf: b})
+			srq.PostRecv(mempool.Descriptor{Tenant: victim, Buf: b})
 		}
 	}
 	post(poolA, srqA, 64)
@@ -189,7 +191,7 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 					if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
 						panic(err)
 					}
-					qb.PostSend(mempool.Descriptor{Tenant: "victim", Buf: e.Desc.Buf, Len: e.Bytes})
+					qb.PostSend(mempool.Descriptor{Tenant: victim, Buf: e.Desc.Buf, Len: e.Bytes})
 				case rdma.OpSend:
 					// Echo delivered: recycle and repost a receive buffer.
 					if err := poolB.Put(e.Desc.Buf, "srv"); err != nil {
@@ -210,7 +212,7 @@ func runVictimEcho(o Opts, p *params.Params, rogueQPs int, capActive bool) time.
 				continue
 			}
 			start := pr.Now()
-			qa.PostSend(mempool.Descriptor{Tenant: "victim", Buf: src, Len: 1024})
+			qa.PostSend(mempool.Descriptor{Tenant: victim, Buf: src, Len: 1024})
 			gotReply := false
 			for !gotReply {
 				cqA.Wait(pr)

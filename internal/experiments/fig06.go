@@ -40,6 +40,7 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 	net := fabric.New(eng, p)
 	ra := rdma.NewRNIC(eng, p, "nodeA", net)
 	rb := rdma.NewRNIC(eng, p, "nodeB", net)
+	tenant := mempool.Intern("t")
 	poolA := mempool.NewPool("t", 16384, 4096, p.HugepageSize)
 	poolB := mempool.NewPool("t", 16384, 4096, p.HugepageSize)
 	srqA, srqB := rdma.NewSRQ("t"), rdma.NewSRQ("t")
@@ -54,7 +55,7 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 			if err != nil {
 				panic(err)
 			}
-			srq.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
+			srq.PostRecv(mempool.Descriptor{Tenant: tenant, Buf: b})
 		}
 	}
 	post(poolA, srqA, 256)
@@ -67,18 +68,18 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 			for _, e := range cqB.Poll(0) {
 				switch e.Op {
 				case rdma.OpRecv:
-					e.Desc.Trace.EndStage(trace.StageRDMACQ)
-					sp := e.Desc.Trace.Begin("srv.proc", "srv")
+					e.Desc.Trace().EndStage(trace.StageRDMACQ)
+					sp := e.Desc.Trace().Begin("srv.proc", "srv")
 					coreB.Exec(pr, p.VerbsPostCost/2)
 					if err := poolB.Transfer(e.Desc.Buf, "rq", "srv"); err != nil {
 						panic(err)
 					}
 					coreB.Exec(pr, p.VerbsPostCost)
 					sp.End()
-					qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf, Len: e.Bytes, Seq: e.Desc.Seq, Trace: e.Desc.Trace})
+					qb.PostSend(mempool.Descriptor{Tenant: tenant, Buf: e.Desc.Buf, Len: e.Bytes, Seq: e.Desc.Seq, Req: e.Desc.Req})
 				case rdma.OpSend:
-					e.Desc.Trace.EndStage(trace.StageRDMAAck)
-					sp := e.Desc.Trace.BeginDetail("srv.ack", "srv")
+					e.Desc.Trace().EndStage(trace.StageRDMAAck)
+					sp := e.Desc.Trace().BeginDetail("srv.ack", "srv")
 					coreB.Exec(pr, p.VerbsPostCost/2)
 					sp.End()
 					if err := poolB.Put(e.Desc.Buf, "srv"); err != nil {
@@ -100,8 +101,8 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 			for _, e := range cqA.Poll(0) {
 				switch e.Op {
 				case rdma.OpRecv:
-					e.Desc.Trace.EndStage(trace.StageRDMACQ)
-					sp := e.Desc.Trace.Begin("cli.proc", "cli")
+					e.Desc.Trace().EndStage(trace.StageRDMACQ)
+					sp := e.Desc.Trace().Begin("cli.proc", "cli")
 					coreA.Exec(pr, p.VerbsPostCost/2)
 					sp.End()
 					if w, ok := waiters[e.Desc.Seq]; ok {
@@ -116,8 +117,8 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 					}
 					post(poolA, srqA, 1)
 				case rdma.OpSend:
-					e.Desc.Trace.EndStage(trace.StageRDMAAck)
-					sp := e.Desc.Trace.BeginDetail("cli.ack", "cli")
+					e.Desc.Trace().EndStage(trace.StageRDMAAck)
+					sp := e.Desc.Trace().BeginDetail("cli.ack", "cli")
 					coreA.Exec(pr, p.VerbsPostCost/2)
 					sp.End()
 					if err := poolA.Put(e.Desc.Buf, "cli"); err != nil {
@@ -145,7 +146,7 @@ func runNativeEcho(p *params.Params, seed int64, coreSpeed float64, payload, cli
 				sp := req.Begin("cli.post", "cli")
 				coreA.Exec(pr, p.VerbsPostCost)
 				sp.End()
-				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: payload, Seq: id, Trace: req})
+				qa.PostSend(mempool.Descriptor{Tenant: tenant, Buf: buf, Len: payload, Seq: id, Req: mempool.TraceReq(req)})
 				w.Get(pr)
 				req.Finish()
 				count++

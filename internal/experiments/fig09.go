@@ -34,6 +34,7 @@ func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur tim
 	defer eng.Stop()
 	work := sim.NewSignal(eng)
 	dpuCore := sim.NewProcessor(eng, "dne-core", p.DPUNetSpeed)
+	tenant := mempool.Intern("t")
 	eps := make([]*dpu.Endpoint, n)
 	for i := range eps {
 		eps[i] = dpu.NewEndpoint(eng, p, mode, i, fmt.Sprintf("fn%d", i), "t", work)
@@ -69,7 +70,7 @@ func runComch(p *params.Params, seed int64, mode dpu.ChannelMode, n int, dur tim
 			for {
 				start := pr.Now()
 				hostCore.Exec(pr, ep.SendCost())
-				ep.SendToDNE(mempool.Descriptor{Tenant: "t"})
+				ep.SendToDNE(mempool.Descriptor{Tenant: tenant})
 				_ = ep.RecvOnHost(pr)
 				if c := ep.HostWakeupCost(); c > 0 {
 					hostCore.Exec(pr, c)

@@ -59,6 +59,7 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 	rb := rdma.NewRNIC(eng, p, "nodeB", net)
 	poolA := mempool.NewPool("rdma-a", 16384, 1024, p.HugepageSize)
 	poolB := mempool.NewPool("rdma-b", 16384, 1024, p.HugepageSize)
+	tenant := mempool.Intern("t")
 	cqA, cqB := rdma.NewCQ(eng), rdma.NewCQ(eng)
 	qa, qb := rdma.Connect(ra, rb, "t", nil, nil, cqA, cqB)
 	mrA := ra.RegisterMR(poolA)
@@ -130,7 +131,7 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 					casAcquire(pr, qb, coreB, fmt.Sprintf("lock-a-%d", i))
 				}
 				coreB.Exec(pr, p.VerbsPostCost)
-				qb.PostWrite(mempool.Descriptor{Tenant: "t", Len: l.Bytes, Seq: l.Desc.Seq, Buf: slotB[i].Buf}, slotA[i])
+				qb.PostWrite(mempool.Descriptor{Tenant: tenant, Len: l.Bytes, Seq: l.Desc.Seq, Buf: slotB[i].Buf}, slotA[i])
 			}
 		}
 	})
@@ -176,7 +177,7 @@ func runOneSidedEcho(p *params.Params, seed int64, variant Fig12Variant, payload
 					casAcquire(pr, qa, coreA, fmt.Sprintf("lock-b-%d", i))
 				}
 				coreA.Exec(pr, p.VerbsPostCost)
-				qa.PostWrite(mempool.Descriptor{Tenant: "t", Len: payload, Seq: uint64(i), Buf: slotA[i].Buf}, slotB[i])
+				qa.PostWrite(mempool.Descriptor{Tenant: tenant, Len: payload, Seq: uint64(i), Buf: slotA[i].Buf}, slotB[i])
 				respQ[i].Get(pr)
 				count++
 				rttSum += pr.Now() - start

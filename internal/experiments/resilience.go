@@ -545,18 +545,18 @@ func (r *dneRig) spawnOpenLoopSender(tenant string, port *dne.FnPort, payload in
 	core := sim.NewProcessor(r.eng, "cli-core-"+tenant, r.p.HostCoreSpeed)
 	pool := r.pools[tenant][0]
 	cli := mempool.Owner("cli-" + tenant)
+	cliName, srvName := mempool.Intern("cli-"+tenant), mempool.Intern("srv-"+tenant)
 	stats := &echoClientStats{}
 	r.eng.Spawn("cli-drain-"+tenant, func(pr *sim.Proc) {
 		for {
 			d := port.Recv(pr, core)
 			stats.count++
-			stats.rtt.Observe(pr.Now() - d.Stamp)
+			stats.rtt.Observe(pr.Now() - time.Duration(d.Seq)) // Seq is the send time
 			if err := pool.Put(d.Buf, cli); err != nil {
 				panic(err)
 			}
 		}
 	})
-	var seq uint64
 	r.eng.Spawn("cli-open-"+tenant, func(pr *sim.Proc) {
 		r.waitReady(pr)
 		for {
@@ -571,10 +571,12 @@ func (r *dneRig) spawnOpenLoopSender(tenant string, port *dne.FnPort, payload in
 				pr.Sleep(8 * period)
 				continue
 			}
-			seq++
+			// The sender keeps no per-request state: the sequence number
+			// is the send time, which the echo server returns, so the
+			// drain times the round trip from the response alone. Sends
+			// are at least one period apart, so it stays unique.
 			d := mempool.Descriptor{
-				Tenant: tenant, Buf: buf, Len: payload,
-				Src: "cli-" + tenant, Dst: "srv-" + tenant, Seq: seq, Stamp: pr.Now(),
+				Buf: buf, Len: payload, Src: cliName, Dst: srvName, Seq: uint64(pr.Now()),
 			}
 			if err := port.Send(pr, core, d); err != nil {
 				panic(err)

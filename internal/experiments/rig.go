@@ -114,8 +114,8 @@ func (r *dneRig) waitReady(pr *sim.Proc) {
 func (r *dneRig) spawnEchoServer(tenant string, port *dne.FnPort) {
 	core := sim.NewProcessor(r.eng, "srv-core-"+tenant, r.p.HostCoreSpeed)
 	pool := r.pools[tenant][1]
-	srvName := "srv-" + tenant // hoisted: was a per-request concat
-	srv := mempool.Owner(srvName)
+	srvName := "srv-" + tenant
+	srv, srvID := mempool.Owner(srvName), mempool.Intern(srvName)
 	r.eng.Spawn(srvName, func(pr *sim.Proc) {
 		for {
 			d := port.Recv(pr, core)
@@ -133,9 +133,7 @@ func (r *dneRig) spawnEchoServer(tenant string, port *dne.FnPort) {
 				panic(err)
 			}
 			out := mempool.Descriptor{
-				Tenant: tenant, Buf: reply, Len: d.Len,
-				Src: srvName, Dst: d.Src, Seq: d.Seq, Stamp: d.Stamp, Ctx: d.Ctx,
-				Trace: d.Trace,
+				Buf: reply, Len: d.Len, Src: srvID, Dst: d.Src, Seq: d.Seq, Req: d.Req,
 			}
 			if err := port.Send(pr, core, out); err != nil {
 				panic(err)
@@ -161,9 +159,9 @@ type echoClientStats struct {
 func (r *dneRig) spawnEchoClients(tenant string, port *dne.FnPort, n, payload int, active func(now time.Duration) bool) *echoClientStats {
 	core := sim.NewProcessor(r.eng, "cli-core-"+tenant, r.p.HostCoreSpeed)
 	pool := r.pools[tenant][0]
-	// Hoisted per-request strings: these were concatenated per echo.
+	// Names resolved once here, never per echo.
 	cliName := "cli-" + tenant
-	srvName := "srv-" + tenant
+	cliID, srvID := mempool.Intern(cliName), mempool.Intern("srv-"+tenant)
 	echoName := "echo/" + tenant
 	cli := mempool.Owner(cliName)
 	stats := &echoClientStats{}
@@ -208,10 +206,11 @@ func (r *dneRig) spawnEchoClients(tenant string, port *dne.FnPort, n, payload in
 				waiters[id] = respQ
 				start := pr.Now()
 				req := r.tracer.StartRequest(echoName)
+				// Only a traced echo carries a side record; the start time
+				// stays here in the client.
 				d := mempool.Descriptor{
-					Tenant: tenant, Buf: buf, Len: payload,
-					Src: cliName, Dst: srvName, Seq: id, Stamp: start,
-					Trace: req,
+					Buf: buf, Len: payload, Src: cliID, Dst: srvID, Seq: id,
+					Req: mempool.TraceReq(req),
 				}
 				if err := port.Send(pr, core, d); err != nil {
 					panic(err)

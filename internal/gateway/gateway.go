@@ -59,7 +59,6 @@ type Egress interface {
 // gateway's memory region over that pool (the landing target peers write
 // into) and the landing-slot window.
 type tenantReg struct {
-	name string
 	pool *mempool.Pool
 	mr   *rdma.MR
 	// slots holds pre-reserved landing buffers. Peers pop a slot to address
@@ -113,7 +112,7 @@ type Gateway struct {
 	routes *RouteTable
 	egress Egress
 
-	tenants   map[string]*tenantReg
+	tenants   mempool.NameTable[*tenantReg]
 	tenantSeq []*tenantReg
 	links     map[fabric.NodeID]*link
 	linkSeq   []*link
@@ -177,7 +176,6 @@ func New(eng *sim.Engine, p *params.Params, self fabric.NodeID, net *fabric.Netw
 		cq:       rdma.NewCQ(eng),
 		work:     sim.NewSignal(eng),
 		routes:   NewRouteTable(self),
-		tenants:  make(map[string]*tenantReg),
 		links:    make(map[fabric.NodeID]*link),
 		inflight: make(map[uint64]inflightSlot),
 	}
@@ -204,13 +202,14 @@ func (g *Gateway) SetEgress(e Egress) { g.egress = e }
 // landing region (MR) and window slots are reserved up front. Must run
 // before traffic; a pool too small for the window leaves the remainder as
 // restock debt the keeper retries.
-func (g *Gateway) AddTenant(name string, pool *mempool.Pool) {
-	if _, ok := g.tenants[name]; ok {
+func (g *Gateway) AddTenant(tenant string, pool *mempool.Pool) {
+	name := mempool.Intern(tenant)
+	if g.tenants.Get(name) != nil {
 		return
 	}
 	mr := g.rnic.RegisterMR(pool)
 	mr.SetNotify(g.work.Pulse)
-	tr := &tenantReg{name: name, pool: pool, mr: mr}
+	tr := &tenantReg{pool: pool, mr: mr}
 	for i := 0; i < g.window; i++ {
 		b, err := pool.Get(g.owner)
 		if err != nil {
@@ -219,7 +218,7 @@ func (g *Gateway) AddTenant(name string, pool *mempool.Pool) {
 		}
 		tr.slots.PushBack(b)
 	}
-	g.tenants[name] = tr
+	g.tenants.Set(name, tr)
 	g.tenantSeq = append(g.tenantSeq, tr)
 }
 
@@ -294,7 +293,7 @@ func (g *Gateway) ForwardRemote(d mempool.Descriptor, dst fabric.NodeID) bool {
 // submit queues a forward and wakes the worker. Also the internal re-entry
 // for retries and transit relays.
 func (g *Gateway) submit(d mempool.Descriptor, dst fabric.NodeID) {
-	d.Trace.BeginStage(trace.StageGwQueue, g.label)
+	d.Trace().BeginStage(trace.StageGwQueue, g.label)
 	g.pending.PushBack(pendingFwd{d: d, dst: dst})
 	g.work.Pulse()
 }
@@ -355,7 +354,7 @@ func (g *Gateway) pump(pr *sim.Proc) bool {
 	lk := g.links[hop]
 	var tr *tenantReg
 	if lk != nil {
-		tr = lk.peer.tenants[pf.d.Tenant]
+		tr = lk.peer.tenants.Get(pf.d.Tenant)
 	}
 	if tr == nil && hop != pf.dst {
 		// The detour node does not host this tenant (no pool to land in):
@@ -363,14 +362,14 @@ func (g *Gateway) pump(pr *sim.Proc) bool {
 		hop = pf.dst
 		lk = g.links[hop]
 		if lk != nil {
-			tr = lk.peer.tenants[pf.d.Tenant]
+			tr = lk.peer.tenants.Get(pf.d.Tenant)
 		}
 	}
 	if lk == nil || tr == nil {
 		// No peer can land this tenant at all: account and drop.
 		g.pending.PopFront()
 		d := pf.d
-		d.Trace.EndStage(trace.StageGwQueue)
+		d.Trace().EndStage(trace.StageGwQueue)
 		g.dropped++
 		g.frDrop(&d)
 		g.releaseSource(d)
@@ -382,10 +381,10 @@ func (g *Gateway) pump(pr *sim.Proc) bool {
 	}
 	g.pending.PopFront()
 	d := pf.d
-	d.Trace.EndStage(trace.StageGwQueue)
+	d.Trace().EndStage(trace.StageGwQueue)
 	buf := tr.slots.PopFront()
 	g.core.Exec(pr, g.p.GwForwardCost+g.p.VerbsPostCost)
-	d.Trace.BeginStageDetail(trace.StageGwHop, g.label)
+	d.Trace().BeginStageDetail(trace.StageGwHop, g.label)
 	qp := lk.cp.Pick()
 	id := qp.PostWrite(d, rdma.RemoteBuf{MR: tr.mr, Buf: buf})
 	g.inflight[id] = inflightSlot{tr: tr, own: lk.peer, buf: buf}
@@ -416,7 +415,7 @@ func (g *Gateway) handleCQE(pr *sim.Proc, e rdma.CQE) {
 		sl.tr.slots.PushBack(sl.buf)
 		sl.own.wakePeers()
 	}
-	d.Trace.EndStage(trace.StageGwHop)
+	d.Trace().EndStage(trace.StageGwHop)
 	if d.Retries < gwRetryBudget {
 		if dst, ok := g.routes.NodeOf(d.Dst); ok {
 			d.Retries++
@@ -436,10 +435,7 @@ func (g *Gateway) handleCQE(pr *sim.Proc, e rdma.CQE) {
 func (g *Gateway) ingest(pr *sim.Proc, tr *tenantReg, l rdma.Landed) {
 	d := l.Desc
 	d.Buf = l.Buf
-	// The sender engine's interned IDs are engine-local; clear them so the
-	// local engine re-resolves by name.
-	d.TenantID, d.DstID = 0, 0
-	d.Trace.EndStage(trace.StageGwHop)
+	d.Trace().EndStage(trace.StageGwHop)
 	g.core.Exec(pr, g.p.GwDeliverCost)
 	if b, err := tr.pool.Get(g.owner); err == nil {
 		tr.slots.PushBack(b)
@@ -478,7 +474,7 @@ func (g *Gateway) ingest(pr *sim.Proc, tr *tenantReg, l rdma.Landed) {
 // local pool when the gateway owns it (a transit leg), otherwise back to
 // the engine that handed it over.
 func (g *Gateway) releaseSource(d mempool.Descriptor) {
-	if tr := g.tenants[d.Tenant]; tr != nil {
+	if tr := g.tenants.Get(d.Tenant); tr != nil {
 		if own, err := tr.pool.OwnerOf(d.Buf); err == nil && own == g.owner {
 			tr.pool.Put(d.Buf, g.owner)
 			return
@@ -550,7 +546,7 @@ func (g *Gateway) InflightWrites() int { return len(g.inflight) }
 // share of the pool invariant checks must credit to the gateway). At
 // quiesce this is exactly the restocked window minus any starved debt.
 func (g *Gateway) SlotsHeld(tenant string) int {
-	tr := g.tenants[tenant]
+	tr := g.tenants.Get(mempool.Intern(tenant))
 	if tr == nil {
 		return 0
 	}
@@ -559,7 +555,7 @@ func (g *Gateway) SlotsHeld(tenant string) int {
 
 // StarvedSlots reports deferred restocks for tenant.
 func (g *Gateway) StarvedSlots(tenant string) int {
-	tr := g.tenants[tenant]
+	tr := g.tenants.Get(mempool.Intern(tenant))
 	if tr == nil {
 		return 0
 	}

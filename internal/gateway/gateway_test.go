@@ -12,6 +12,9 @@ import (
 	"nadino/internal/sim"
 )
 
+// tenantT is the interned name of the test tenant "t".
+var tenantT = mempool.Intern("t")
+
 // stubEgress stands in for the node's dne.Engine: it records deliveries and
 // recycles buffers so pools stay conserved.
 type stubEgress struct {
@@ -217,7 +220,7 @@ func TestForwardDeliverConservation(t *testing.T) {
 				t.Errorf("source pool dry at msg %d", i)
 				return
 			}
-			d := mempool.Descriptor{Tenant: "t", Buf: src, Len: 256, Dst: "fnB", Seq: uint64(i)}
+			d := mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 256, Dst: mempool.Intern("fnB"), Seq: uint64(i)}
 			if !r.gws[0].ForwardRemote(d, "n2") {
 				t.Errorf("ForwardRemote refused a peer destination")
 				return
@@ -239,7 +242,7 @@ func TestForwardDeliverConservation(t *testing.T) {
 		t.Fatalf("egress got %d descriptors, want %d", len(r.egs[1].delivered), msgs)
 	}
 	for i, d := range r.egs[1].delivered {
-		if d.Dst != "fnB" || d.Len != 256 || d.Seq != uint64(i) {
+		if d.Dst.String() != "fnB" || d.Len != 256 || d.Seq != uint64(i) {
 			t.Errorf("delivered[%d] = {Dst:%s Len:%d Seq:%d}, metadata mangled", i, d.Dst, d.Len, d.Seq)
 		}
 	}
@@ -273,7 +276,7 @@ func TestWindowBackpressure(t *testing.T) {
 				t.Errorf("source pool dry at msg %d", i)
 				return
 			}
-			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Dst: "fnB"}, "n2")
+			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 1024, Dst: mempool.Intern("fnB")}, "n2")
 		}
 	})
 	r.eng.RunUntil(200 * time.Millisecond)
@@ -294,7 +297,7 @@ func TestTransitRelayAroundPartition(t *testing.T) {
 	r.eng.Spawn("driver", func(pr *sim.Proc) {
 		r.ready.Wait(pr)
 		src, _ := r.pools[0].Get("eng")
-		r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 512, Dst: "fnC"}, "n3")
+		r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 512, Dst: mempool.Intern("fnC")}, "n3")
 	})
 	r.eng.RunUntil(200 * time.Millisecond)
 
@@ -323,7 +326,7 @@ func TestDeterministicReplay(t *testing.T) {
 			r.ready.Wait(pr)
 			for i := 0; i < 50; i++ {
 				if src, err := r.pools[0].Get("eng"); err == nil {
-					r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 300, Dst: "fnC", Seq: uint64(i)}, "n3")
+					r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 300, Dst: mempool.Intern("fnC"), Seq: uint64(i)}, "n3")
 				}
 				pr.Sleep(time.Microsecond)
 				if i == 20 {
@@ -364,7 +367,7 @@ func BenchmarkGatewayForward(b *testing.B) {
 				b.Errorf("source pool dry at iter %d", i)
 				break
 			}
-			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Dst: "fnB"}, "n2")
+			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 1024, Dst: mempool.Intern("fnB")}, "n2")
 			done.Wait(pr)
 		}
 		r.eng.Stop()
@@ -392,7 +395,7 @@ func BenchmarkChainCrossNode(b *testing.B) {
 				b.Errorf("source pool dry at iter %d", i)
 				break
 			}
-			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024, Dst: "fnC"}, "n3")
+			r.gws[0].ForwardRemote(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 1024, Dst: mempool.Intern("fnC")}, "n3")
 			done.Wait(pr)
 		}
 		r.eng.Stop()

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"nadino/internal/fabric"
+	"nadino/internal/mempool"
 )
 
 // RouteTable is a gateway's versioned view of the cluster: which node owns
@@ -12,8 +13,8 @@ import (
 // failover converge.
 type RouteTable struct {
 	self    fabric.NodeID
-	peers   []fabric.NodeID // stable wiring order: the failover scan order
-	fns     map[string]fabric.NodeID
+	peers   []fabric.NodeID                  // stable wiring order: the failover scan order
+	fns     mempool.NameTable[fabric.NodeID] // "" = unknown function
 	fnSeq   []string
 	hops    map[fabric.NodeID]fabric.NodeID
 	version uint64
@@ -23,7 +24,6 @@ type RouteTable struct {
 func NewRouteTable(self fabric.NodeID) *RouteTable {
 	return &RouteTable{
 		self: self,
-		fns:  make(map[string]fabric.NodeID),
 		hops: make(map[fabric.NodeID]fabric.NodeID),
 	}
 }
@@ -43,22 +43,23 @@ func (rt *RouteTable) Peers() []fabric.NodeID { return rt.peers }
 
 // Set records that fn lives on node, bumping the version on change.
 func (rt *RouteTable) Set(fn string, node fabric.NodeID) {
-	if cur, ok := rt.fns[fn]; ok {
+	name := mempool.Intern(fn)
+	if cur := rt.fns.Get(name); cur != "" {
 		if cur != node {
-			rt.fns[fn] = node
+			rt.fns.Set(name, node)
 			rt.version++
 		}
 		return
 	}
-	rt.fns[fn] = node
+	rt.fns.Set(name, node)
 	rt.fnSeq = append(rt.fnSeq, fn)
 	rt.version++
 }
 
 // NodeOf reports the node owning fn.
-func (rt *RouteTable) NodeOf(fn string) (fabric.NodeID, bool) {
-	n, ok := rt.fns[fn]
-	return n, ok
+func (rt *RouteTable) NodeOf(fn mempool.Name) (fabric.NodeID, bool) {
+	n := rt.fns.Get(fn)
+	return n, n != ""
 }
 
 // Functions returns the known function IDs in registration order.

@@ -89,7 +89,7 @@ func (c *SKMsg) InterruptCost(backlog int) time.Duration {
 // Send ships a descriptor; it arrives after the SK_MSG delivery latency.
 // The caller pays SendCost on its own core first. Engine/process context.
 func (c *SKMsg) Send(d mempool.Descriptor) {
-	d.Trace.BeginStage(trace.StageSKMsg, "skmsg")
+	d.Trace().BeginStage(trace.StageSKMsg, "skmsg")
 	c.eng.After(c.p.SKMsgDeliver, c.allocDelivery(d).fn)
 }
 
@@ -97,7 +97,7 @@ func (c *SKMsg) Send(d mempool.Descriptor) {
 // own core afterwards.
 func (c *SKMsg) Recv(pr *sim.Proc) mempool.Descriptor {
 	d := c.q.Get(pr)
-	d.Trace.EndStage(trace.StageSKMsg)
+	d.Trace().EndStage(trace.StageSKMsg)
 	return d
 }
 
@@ -105,7 +105,7 @@ func (c *SKMsg) Recv(pr *sim.Proc) mempool.Descriptor {
 func (c *SKMsg) TryRecv() (mempool.Descriptor, bool) {
 	d, ok := c.q.TryGet()
 	if ok {
-		d.Trace.EndStage(trace.StageSKMsg)
+		d.Trace().EndStage(trace.StageSKMsg)
 	}
 	return d, ok
 }

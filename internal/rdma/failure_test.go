@@ -25,7 +25,7 @@ func TestRetransmitRecoversFromLinkBlip(t *testing.T) {
 	var doneAt time.Duration
 	r.eng.Spawn("sender", func(p *sim.Proc) {
 		src, _ := r.poolA.Get("cli")
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 512})
+		qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 512})
 		r.cqA.Wait(p)
 		e := r.cqA.Poll(1)[0]
 		status = e.Status
@@ -57,7 +57,7 @@ func TestPersistentOutageErrorsQP(t *testing.T) {
 	var status Status = -1
 	r.eng.Spawn("sender", func(p *sim.Proc) {
 		src, _ := r.poolA.Get("cli")
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 512})
+		qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 512})
 		r.cqA.Wait(p)
 		status = r.cqA.Poll(1)[0].Status
 	})
@@ -72,7 +72,7 @@ func TestPersistentOutageErrorsQP(t *testing.T) {
 	var flushed Status = -1
 	r.eng.Spawn("late-sender", func(p *sim.Proc) {
 		src, _ := r.poolA.Get("cli")
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 		r.cqA.Wait(p)
 		flushed = r.cqA.Poll(1)[0].Status
 	})
@@ -97,7 +97,7 @@ func TestConnPoolRepairsErroredQPs(t *testing.T) {
 		pa, _ = EstablishPair(p, r.p, "t", r.ra, r.rb, 4, r.srqA, r.srqB, r.cqA, r.cqB)
 		postRecvs(t, r.poolB, r.srqB, 64)
 		src, _ := r.poolA.Get("cli")
-		pa.Pick().PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		pa.Pick().PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 	})
 	r.eng.RunUntil(50 * time.Millisecond)
 	errored := 0
@@ -125,7 +125,7 @@ func TestConnPoolRepairsErroredQPs(t *testing.T) {
 	var ok bool
 	r.eng.Spawn("verify", func(p *sim.Proc) {
 		src, _ := r.poolA.Get("cli")
-		pa.Pick().PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		pa.Pick().PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 		r.cqB.Wait(p)
 		for _, e := range r.cqB.Poll(0) {
 			if e.Op == OpRecv {
@@ -164,7 +164,7 @@ func TestRetransmitTimerDoesNotDuplicate(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 256})
+			qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 256})
 			pr.Sleep(p.RetransmitTimeout) // straddle the timer window
 		}
 	})

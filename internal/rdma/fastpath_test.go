@@ -21,7 +21,7 @@ func TestSRQBackingArrayBounded(t *testing.T) {
 	const depth = 8
 	for i := 0; i < rounds; i++ {
 		for j := 0; j < depth; j++ {
-			srq.PostRecv(mempool.Descriptor{Tenant: "t", Seq: uint64(i*depth + j)})
+			srq.PostRecv(mempool.Descriptor{Tenant: tenantT, Seq: uint64(i*depth + j)})
 		}
 		for j := 0; j < depth; j++ {
 			d, ok := srq.pop()
@@ -55,7 +55,7 @@ func TestSeenLogBoundedUnderSustainedLoad(t *testing.T) {
 	var delivered int
 	r.eng.Spawn("driver", func(pr *sim.Proc) {
 		for {
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+			qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 			r.cqA.Wait(pr)
 			r.cqA.Poll(0)
 		}
@@ -69,7 +69,7 @@ func TestSeenLogBoundedUnderSustainedLoad(t *testing.T) {
 				}
 				delivered++
 				// Recycle the consumed buffer straight back into the SRQ.
-				r.srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf})
+				r.srqB.PostRecv(mempool.Descriptor{Tenant: tenantT, Buf: e.Desc.Buf})
 			}
 		}
 	})
@@ -106,7 +106,7 @@ func TestWRSlabReuse(t *testing.T) {
 	const msgs = 5000
 	r.eng.Spawn("driver", func(pr *sim.Proc) {
 		for i := 0; i < msgs; i++ {
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+			qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 			r.cqA.Wait(pr)
 			r.cqA.Poll(0)
 		}
@@ -116,7 +116,7 @@ func TestWRSlabReuse(t *testing.T) {
 			r.cqB.Wait(pr)
 			for _, e := range r.cqB.Poll(0) {
 				if e.Op == OpRecv {
-					r.srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf})
+					r.srqB.PostRecv(mempool.Descriptor{Tenant: tenantT, Buf: e.Desc.Buf})
 				}
 			}
 		}
@@ -149,12 +149,12 @@ func BenchmarkQPPostSend(b *testing.B) {
 	qa, _ := Connect(ra, rb, "t", srqA, srqB, cqA, cqB)
 	for i := 0; i < 32; i++ {
 		buf, _ := poolB.Get("rq")
-		srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: buf})
+		srqB.PostRecv(mempool.Descriptor{Tenant: tenantT, Buf: buf})
 	}
 	src, _ := poolA.Get("fnA")
 	eng.Spawn("driver", func(pr *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+			qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 			cqA.Wait(pr)
 			cqA.Poll(0)
 		}
@@ -164,7 +164,7 @@ func BenchmarkQPPostSend(b *testing.B) {
 			cqB.Wait(pr)
 			for _, e := range cqB.Poll(0) {
 				if e.Op == OpRecv {
-					srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: e.Desc.Buf})
+					srqB.PostRecv(mempool.Descriptor{Tenant: tenantT, Buf: e.Desc.Buf})
 				}
 			}
 		}

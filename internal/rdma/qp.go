@@ -213,7 +213,7 @@ func (qp *QP) PostSend(d mempool.Descriptor) uint64 {
 	if qp.errored {
 		// Error-state QPs flush new WRs immediately.
 		r.eng.Immediate(func() {
-			qp.complete(CQE{WRID: id, Op: OpSend, Status: StatusQPError, Bytes: d.Len, Tenant: qp.Tenant, QP: qp, Desc: d})
+			qp.complete(CQE{WRID: id, Op: OpSend, Status: StatusQPError, Bytes: d.Len, QP: qp, Desc: d})
 		})
 		return id
 	}
@@ -224,7 +224,7 @@ func (qp *QP) PostSend(d mempool.Descriptor) uint64 {
 	// The transfer span runs from the post to the receive-side CQE (closed
 	// in CQ.push); a send abandoned by the transport leaves it open, which
 	// reports and exports ignore.
-	d.Trace.BeginStage(trace.StageRDMA, r.label)
+	d.Trace().BeginStage(trace.StageRDMA, r.label)
 	st := qp.allocWR(id, d)
 	st.timer = r.eng.After(r.p.RetransmitTimeout, st.checkFn)
 	st.attempt()
@@ -244,10 +244,10 @@ func (st *wrState) xmit() {
 	qp := st.qp
 	r := qp.rnic
 	if st.isWrite {
-		r.net.SendTraced(r.node, qp.peer.rnic.node, st.d.Len+wireHeaderBytes, st.d.Trace, st.wLandFn)
+		r.net.SendTraced(r.node, qp.peer.rnic.node, st.d.Len+wireHeaderBytes, st.d.Trace(), st.wLandFn)
 		return
 	}
-	r.net.SendTraced(r.node, qp.peer.rnic.node, st.d.Len+wireHeaderBytes, st.d.Trace, st.deliverFn)
+	r.net.SendTraced(r.node, qp.peer.rnic.node, st.d.Len+wireHeaderBytes, st.d.Trace(), st.deliverFn)
 }
 
 func (st *wrState) deliver() {
@@ -274,7 +274,7 @@ func (st *wrState) check() {
 		if st.isWrite {
 			op = OpWrite
 		}
-		qp.cq.push(CQE{WRID: st.id, Op: op, Status: StatusRetryExceeded, Bytes: st.d.Len, Tenant: qp.Tenant, QP: qp, Desc: st.d})
+		qp.cq.push(CQE{WRID: st.id, Op: op, Status: StatusRetryExceeded, Bytes: st.d.Len, QP: qp, Desc: st.d})
 		return
 	}
 	qp.retransmits++
@@ -370,7 +370,7 @@ func (f *recvFlow) match() {
 		// Receiver not ready: RC retries with backoff, then errors.
 		dst.srq.rnr++
 		r.rnrRetries++
-		f.d.Trace.Event(trace.StageRNR, r.label)
+		f.d.Trace().Event(trace.StageRNR, r.label)
 		if f.attempt+1 > maxRNRRetries {
 			f.src.rnic.eng.After(p.FabricPropagation, f.rnrFn)
 			return
@@ -397,31 +397,28 @@ func (f *recvFlow) dma() {
 	recv.Src = f.d.Src
 	recv.Dst = f.d.Dst
 	recv.Seq = f.d.Seq
-	recv.Stamp = f.d.Stamp
-	recv.Ctx = f.d.Ctx
-	recv.Trace = f.d.Trace
-	recv.Spec = f.d.Spec
+	recv.Req = f.d.Req
 	dst.srq.consumed++
-	dst.cq.push(CQE{WRID: r.wrID(), Op: OpRecv, Status: StatusOK, Bytes: f.d.Len, Tenant: dst.Tenant, QP: dst, Desc: recv})
+	dst.cq.push(CQE{WRID: r.wrID(), Op: OpRecv, Status: StatusOK, Bytes: f.d.Len, QP: dst, Desc: recv})
 	// RC ack completes the sender after one propagation delay.
 	r.eng.After(r.p.FabricPropagation, f.ackFn)
 }
 
 func (f *recvFlow) ack() {
 	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: f.d.Len, Tenant: src.Tenant, QP: src, Desc: f.d})
+	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: f.d.Len, QP: src, Desc: f.d})
 	f.r.releaseFlow(f)
 }
 
 func (f *recvFlow) rnrExceeded() {
 	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusRNRExceeded, Bytes: f.d.Len, Tenant: src.Tenant, QP: src, Desc: f.d})
+	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusRNRExceeded, Bytes: f.d.Len, QP: src, Desc: f.d})
 	f.r.releaseFlow(f)
 }
 
 func (f *recvFlow) dupAck() {
 	src := f.src
-	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: f.d.Len, Tenant: src.Tenant, QP: src, Desc: f.d})
+	src.complete(CQE{WRID: f.wrID, Op: OpSend, Status: StatusOK, Bytes: f.d.Len, QP: src, Desc: f.d})
 	f.r.releaseFlow(f)
 }
 
@@ -447,7 +444,7 @@ func (qp *QP) PostWrite(d mempool.Descriptor, remote RemoteBuf) uint64 {
 	qp.outstanding++
 	if qp.errored {
 		r.eng.Immediate(func() {
-			qp.complete(CQE{WRID: id, Op: OpWrite, Status: StatusQPError, Bytes: d.Len, Tenant: qp.Tenant, QP: qp, Desc: d})
+			qp.complete(CQE{WRID: id, Op: OpWrite, Status: StatusQPError, Bytes: d.Len, QP: qp, Desc: d})
 		})
 		return id
 	}
@@ -456,7 +453,7 @@ func (qp *QP) PostWrite(d mempool.Descriptor, remote RemoteBuf) uint64 {
 
 	// The transfer span runs from the post to the sender-side completion
 	// (closed in CQ.push when the OpWrite CQE lands).
-	d.Trace.BeginStage(trace.StageRDMA, r.label)
+	d.Trace().BeginStage(trace.StageRDMA, r.label)
 	st := qp.allocWR(id, d)
 	st.isWrite = true
 	st.remote = remote
@@ -492,7 +489,7 @@ func (st *wrState) wDone() {
 
 func (st *wrState) wAck() {
 	qp := st.qp
-	qp.complete(CQE{WRID: st.id, Op: OpWrite, Status: StatusOK, Bytes: st.d.Len, Tenant: qp.Tenant, QP: qp, Desc: st.d})
+	qp.complete(CQE{WRID: st.id, Op: OpWrite, Status: StatusOK, Bytes: st.d.Len, QP: qp, Desc: st.d})
 }
 
 // PostRead posts a one-sided RDMA read of n bytes from remote into a local
@@ -516,7 +513,7 @@ func (qp *QP) PostRead(n int, remote RemoteBuf) uint64 {
 				rr.net.Send(rr.node, r.node, n+wireHeaderBytes, func() {
 					fin := r.pipe(r.dmaCost(n))
 					r.eng.At(fin, func() {
-						qp.complete(CQE{WRID: id, Op: OpRead, Status: StatusOK, Bytes: n, Tenant: qp.Tenant, QP: qp})
+						qp.complete(CQE{WRID: id, Op: OpRead, Status: StatusOK, Bytes: n, QP: qp})
 					})
 				})
 			})
@@ -555,7 +552,7 @@ func (qp *QP) PostCAS(key string, compare, swap uint64, fn func(CASResult)) uint
 				rr.words[key] = swap
 			}
 			rr.eng.After(half, func() {
-				qp.complete(CQE{WRID: id, Op: OpCAS, Status: StatusOK, Tenant: qp.Tenant, QP: qp})
+				qp.complete(CQE{WRID: id, Op: OpCAS, Status: StatusOK, QP: qp})
 				fn(CASResult{WRID: id, Old: old, Swapped: swapped})
 			})
 		})

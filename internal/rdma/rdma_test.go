@@ -11,6 +11,9 @@ import (
 	"nadino/internal/sim"
 )
 
+// tenantT is the interned name of the test tenant "t".
+var tenantT = mempool.Intern("t")
+
 // testRig wires two nodes with RNICs, pools, SRQs and CQs.
 type testRig struct {
 	eng          *sim.Engine
@@ -52,7 +55,7 @@ func postRecvs(t *testing.T, pool *mempool.Pool, srq *SRQ, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srq.PostRecv(mempool.Descriptor{Tenant: pool.Tenant(), Buf: b})
+		srq.PostRecv(mempool.Descriptor{Tenant: mempool.Intern(pool.Tenant()), Buf: b})
 	}
 }
 
@@ -64,8 +67,12 @@ func TestTwoSidedSendDelivers(t *testing.T) {
 	src, _ := r.poolA.Get("fnA")
 	var sendDone, recvDone time.Duration
 	var recvd mempool.Descriptor
+	rec := &mempool.Req{Ctx: "req"}
 	r.eng.Spawn("sender", func(p *sim.Proc) {
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64, Src: "fnA", Dst: "fnB", Seq: 7, Ctx: "req"})
+		qa.PostSend(mempool.Descriptor{
+			Tenant: tenantT, Buf: src, Len: 64,
+			Src: mempool.Intern("fnA"), Dst: mempool.Intern("fnB"), Seq: 7, Req: rec,
+		})
 		r.cqA.Wait(p)
 		e := r.cqA.Poll(1)[0]
 		if e.Op != OpSend || e.Status != StatusOK {
@@ -86,8 +93,12 @@ func TestTwoSidedSendDelivers(t *testing.T) {
 	if recvDone == 0 || sendDone == 0 {
 		t.Fatal("completion(s) missing")
 	}
-	if recvd.Src != "fnA" || recvd.Dst != "fnB" || recvd.Seq != 7 || recvd.Ctx != "req" || recvd.Len != 64 {
+	if recvd.Src.String() != "fnA" || recvd.Dst.String() != "fnB" || recvd.Seq != 7 || recvd.Len != 64 {
 		t.Fatalf("metadata not carried: %+v", recvd)
+	}
+	// The landing shares the sender's side record instead of copying it.
+	if recvd.Req != rec || recvd.Ctx() != "req" {
+		t.Fatalf("side record not carried: %+v", recvd.Req)
 	}
 	// Payload landed in a receiver-posted buffer from B's pool.
 	if owner, err := r.poolB.OwnerOf(recvd.Buf); err != nil || owner != "rq" {
@@ -108,12 +119,12 @@ func TestRNRRetryThenDelivery(t *testing.T) {
 	src, _ := r.poolA.Get("fnA")
 	var recvAt time.Duration
 	r.eng.Spawn("sender", func(p *sim.Proc) {
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 	})
 	// Post the receive buffer only after the first arrival attempt.
 	r.eng.At(30*time.Microsecond, func() {
 		b, _ := r.poolB.Get("rq")
-		r.srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
+		r.srqB.PostRecv(mempool.Descriptor{Tenant: tenantT, Buf: b})
 	})
 	r.eng.Spawn("receiver", func(p *sim.Proc) {
 		r.cqB.Wait(p)
@@ -137,7 +148,7 @@ func TestRNRExhaustionErrorsSender(t *testing.T) {
 	src, _ := r.poolA.Get("fnA")
 	var status Status = -1
 	r.eng.Spawn("sender", func(p *sim.Proc) {
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 		r.cqA.Wait(p)
 		status = r.cqA.Poll(1)[0].Status
 	})
@@ -162,7 +173,7 @@ func echoRTT(t *testing.T, payload int) time.Duration {
 	r.eng.Spawn("client", func(p *sim.Proc) {
 		src, _ := r.poolA.Get("cli")
 		start := p.Now()
-		qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: payload})
+		qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: payload})
 		for {
 			r.cqA.Wait(p)
 			es := r.cqA.Poll(0)
@@ -185,7 +196,7 @@ func echoRTT(t *testing.T, payload int) time.Duration {
 				if e.Op == OpRecv {
 					// Echo straight back from a server buffer.
 					buf, _ := r.poolB.Get("srv")
-					qb.PostSend(mempool.Descriptor{Tenant: "t", Buf: buf, Len: e.Bytes})
+					qb.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: buf, Len: e.Bytes})
 				}
 			}
 		}
@@ -226,7 +237,7 @@ func TestOneSidedWriteLandsWithoutReceiverCQE(t *testing.T) {
 
 	var landAt time.Duration
 	r.eng.Spawn("writer", func(p *sim.Proc) {
-		qa.PostWrite(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
+		qa.PostWrite(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
 		r.cqA.Wait(p)
 		e := r.cqA.Poll(1)[0]
 		if e.Op != OpWrite || e.Status != StatusOK {
@@ -262,7 +273,7 @@ func TestOneSidedFasterThanTwoSidedOneWay(t *testing.T) {
 	var writeLanded, sendDelivered time.Duration
 	r.eng.Spawn("writer", func(p *sim.Proc) {
 		src, _ := r.poolA.Get("cli")
-		qa.PostWrite(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
+		qa.PostWrite(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64}, RemoteBuf{MR: mrB, Buf: dst})
 	})
 	r.eng.RunUntil(100 * time.Microsecond)
 	if l := mrB.PollLanded(); len(l) == 1 {
@@ -276,7 +287,7 @@ func TestOneSidedFasterThanTwoSidedOneWay(t *testing.T) {
 	postRecvs(t, r2.poolB, r2.srqB, 4)
 	r2.eng.Spawn("sender", func(p *sim.Proc) {
 		src, _ := r2.poolA.Get("cli")
-		qa2.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+		qa2.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 	})
 	r2.eng.Spawn("receiver", func(p *sim.Proc) {
 		r2.cqB.Wait(p)
@@ -360,7 +371,7 @@ func TestQPCacheThrashingPenalty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
+			srqB.PostRecv(mempool.Descriptor{Tenant: tenantT, Buf: b})
 		}
 		var last time.Duration
 		eng.Spawn("blaster", func(pr *sim.Proc) {
@@ -370,7 +381,7 @@ func TestQPCacheThrashingPenalty(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				qps[i%len(qps)].PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+				qps[i%len(qps)].PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 			}
 		})
 		eng.Spawn("sink", func(pr *sim.Proc) {
@@ -430,7 +441,7 @@ func TestConnPoolActivatesUnderCongestion(t *testing.T) {
 				return
 			}
 			qp := pa.Pick()
-			qp.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 64})
+			qp.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 64})
 		}
 	})
 	r.eng.Run()
@@ -470,7 +481,7 @@ func TestMTTOverflowPenalty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
+			srqB.PostRecv(mempool.Descriptor{Tenant: tenantT, Buf: b})
 		}
 		var done time.Duration
 		eng.Spawn("sender", func(pr *sim.Proc) {
@@ -480,7 +491,7 @@ func TestMTTOverflowPenalty(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: 1024})
+				qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: 1024})
 				cqA.Wait(pr)
 				cqA.Poll(0)
 				done = pr.Now()
@@ -519,7 +530,7 @@ func TestTwoSidedConservationProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			srqB.PostRecv(mempool.Descriptor{Tenant: "t", Buf: b})
+			srqB.PostRecv(mempool.Descriptor{Tenant: tenantT, Buf: b})
 		}
 		sendOK, recvOK := 0, 0
 		eng.Spawn("sender", func(pr *sim.Proc) {
@@ -528,7 +539,7 @@ func TestTwoSidedConservationProperty(t *testing.T) {
 				if err != nil {
 					return
 				}
-				qa.PostSend(mempool.Descriptor{Tenant: "t", Buf: src, Len: size, Seq: uint64(i)})
+				qa.PostSend(mempool.Descriptor{Tenant: tenantT, Buf: src, Len: size, Seq: uint64(i)})
 				pr.Sleep(time.Duration(eng.Rand().Intn(5000)) * time.Nanosecond)
 			}
 		})

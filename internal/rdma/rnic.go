@@ -78,7 +78,6 @@ type CQE struct {
 	Op     Op
 	Status Status
 	Bytes  int
-	Tenant string
 	QP     *QP
 	// Desc carries the receive-side buffer descriptor for OpRecv
 	// completions (the posted buffer, now holding the payload and the
@@ -142,12 +141,12 @@ func (cq *CQ) push(e CQE) {
 	// drains this CQE is its own stage.
 	switch e.Op {
 	case OpRecv, OpWrite:
-		e.Desc.Trace.EndStage(trace.StageRDMA)
+		e.Desc.Trace().EndStage(trace.StageRDMA)
 		if e.Op == OpRecv {
-			e.Desc.Trace.BeginStage(trace.StageRDMACQ, "cq")
+			e.Desc.Trace().BeginStage(trace.StageRDMACQ, "cq")
 		}
 	case OpSend:
-		e.Desc.Trace.BeginStageDetail(trace.StageRDMAAck, "cq")
+		e.Desc.Trace().BeginStageDetail(trace.StageRDMAAck, "cq")
 	}
 	if cq.n == len(cq.buf) {
 		cq.grow()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nadino/internal/fabric"
+	"nadino/internal/mempool"
 )
 
 // Violation is one invariant failure, stamped with the virtual time it was
@@ -319,7 +320,7 @@ func checkRoutes(r *Rig) []string {
 	for _, name := range r.nodes {
 		routes := r.c.NodeGateway(name).Routes()
 		for _, fn := range routes.Functions() {
-			node, ok := routes.NodeOf(fn)
+			node, ok := routes.NodeOf(mempool.Intern(fn))
 			if !ok || !known[node] {
 				out = append(out, fmt.Sprintf("gateway %s: function %s routed to unknown node %q",
 					name, fn, node))
